@@ -57,7 +57,7 @@ pub const SWEEP_Z: f64 = 1.96;
 /// `rates_per_hour`, `intermittent_periods` innermost).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepConfig {
-    /// Cluster sizes `N` (each ≥ 4).
+    /// Cluster sizes `N` (each in 4..=64).
     pub nodes: Vec<usize>,
     /// Round budgets per experiment.
     pub rounds: Vec<u64>,
@@ -122,6 +122,12 @@ impl SweepConfig {
         }
         if let Some(&n) = self.nodes.iter().find(|&&n| n < 4) {
             return Err(format!("cluster size {n} below the minimum of 4"));
+        }
+        // Neither the lockstep engine nor the scalar syndrome goes past
+        // one 64-bit word per lane.
+        let max = tt_sim::MAX_BATCH_NODES;
+        if let Some(&n) = self.nodes.iter().find(|&&n| n > max) {
+            return Err(format!("cluster size {n} above the maximum of {max}"));
         }
         let min_rounds = MIN_FAULT_ROUND + 5;
         if let Some(&r) = self.rounds.iter().find(|&&r| r < min_rounds) {
@@ -487,9 +493,10 @@ fn run_from(
 }
 
 /// Runs every experiment of one cell and folds the observations into its
-/// estimate. Chunks of `batch_size` run on the lockstep engine; a chunk
-/// whose shape the engine rejects (e.g. `N > 64`) falls back to the
-/// scalar path, observation for observation identical.
+/// estimate. Chunks of `batch_size` run on the lockstep engine, which
+/// accepts every cluster size [`SweepConfig::validate`] admits (4..=64); a
+/// chunk the engine still refuses falls back to the scalar path,
+/// observation for observation identical.
 fn run_cell(config: &SweepConfig, cell: &SweepCell) -> CellEstimate {
     let crit = vec![cell.criticality; cell.n];
     let workload = TransientCell {
@@ -876,6 +883,14 @@ mod tests {
         let mut c = tiny_config();
         c.nodes = vec![3];
         assert!(c.validate().is_err());
+        let mut c = tiny_config();
+        c.nodes = vec![4, 64];
+        assert!(c.validate().is_ok());
+        c.nodes = vec![4, 65];
+        assert_eq!(
+            c.validate(),
+            Err("cluster size 65 above the maximum of 64".into())
+        );
         let mut c = tiny_config();
         c.rounds = vec![4];
         assert!(c.validate().is_err());

@@ -30,6 +30,25 @@ fn main() {
             .unwrap();
             tt_analysis::sweep_json(&outcome.report)
         }),
+        ("tune_sweep_wide.json", {
+            // Wide clusters (N ∈ {9, 16, 33}) pin the multi-word vote tally:
+            // `ttdiag tune sweep --nodes 9,16,33 --penalty 1,41 --reward 2
+            // --crit 1 --intermittent 6 --experiments 64`.
+            let outcome = tt_analysis::run_sweep(
+                &tt_analysis::SweepConfig {
+                    nodes: vec![9, 16, 33],
+                    penalty_thresholds: vec![1, 41],
+                    reward_thresholds: vec![2],
+                    criticalities: vec![1],
+                    intermittent_periods: vec![6],
+                    experiments: 64,
+                    ..tt_analysis::SweepConfig::default()
+                },
+                &tt_analysis::SweepSupervisor::default(),
+            )
+            .unwrap();
+            tt_analysis::sweep_json(&outcome.report)
+        }),
     ] {
         std::fs::write(dir.join(name), content).unwrap();
         println!("wrote {name}");

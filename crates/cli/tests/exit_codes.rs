@@ -62,6 +62,22 @@ fn bad_tune_sweep_axis_is_a_usage_error() {
 }
 
 #[test]
+fn out_of_range_tune_sweep_cluster_is_a_usage_error() {
+    // A cluster past 64 nodes fits neither the lockstep engine nor a
+    // syndrome word: refused up front like one below the minimum of 4,
+    // not a panic mid-sweep.
+    for nodes in ["3", "65"] {
+        let out = ttdiag()
+            .args(["tune", "sweep", "--nodes", nodes])
+            .output()
+            .expect("spawn ttdiag");
+        assert_eq!(out.status.code(), Some(2), "--nodes {nodes}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cluster size"), "--nodes {nodes}: {stderr}");
+    }
+}
+
+#[test]
 fn tiny_tune_sweep_exits_zero() {
     let out = ttdiag()
         .args([

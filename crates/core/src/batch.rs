@@ -7,7 +7,9 @@
 //! `[u64; B]` lane arrays, health vectors and syndrome rows are packed
 //! `u64` bitmasks, and both the H-maj column vote and the Alg. 2 counter
 //! update run as branch-free bulk loops over lanes (the per-lane "branches"
-//! are 0/1 multiplications, so the compiler can auto-vectorize them).
+//! are 0/1 flags widened to all-ones masks and ANDed in, so the compiler
+//! can auto-vectorize them). The vote tallies every column at once in
+//! `⌈N/8⌉` words of byte counters per lane.
 //!
 //! The batched protocol reproduces the scalar `DiagJob` byte for byte under
 //! the scalar engine's standard configuration: schedule offset 0 for every
@@ -88,7 +90,7 @@ pub struct BatchDiagJob {
     // Per-lane scratch arrays, allocated once.
     rp: Vec<u64>,
     pc: Vec<u32>,
-    okc: Vec<u32>,
+    /// Column tally, `⌈N/8⌉` words per lane (see [`vote`]).
     acc: Vec<u64>,
     hv: Vec<u64>,
     coll: Vec<u64>,
@@ -106,6 +108,146 @@ pub struct BatchDiagJob {
 fn spread8(m: u64) -> u64 {
     let t = m.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
     (t.wrapping_add(0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101
+}
+
+/// Observer `i`'s diagnostic matrix of one diagnosed round, across all
+/// lanes: the inputs of its H-maj vote.
+struct Matrix<'a> {
+    lanes: &'a BatchLanes,
+    i: usize,
+    /// The observer's own row: what it sent itself, which replaces its
+    /// received copy (a node always knows what it sent — Lemma 3).
+    own: &'a [u64],
+    /// Present rows per lane (bit `r` set = row `r` votes).
+    present: &'a [u64],
+    /// Number of present rows per lane.
+    count: &'a [u32],
+    /// The observer's collision detector of the diagnosed round per lane.
+    coll: &'a [u64],
+}
+
+impl<'a> Matrix<'a> {
+    /// Row `r` across all lanes.
+    fn row(&self, r: usize) -> &'a [u64] {
+        if r == self.i {
+            self.own
+        } else {
+            self.lanes.syndrome_row(self.i, r)
+        }
+    }
+}
+
+/// H-maj votes every column of observer `i`'s matrix into `hv`: majority
+/// over the present rows' opinions, excluding row `j` (the subject's
+/// self-opinion); ties and empty columns default to healthy, except that
+/// an undecidable own column falls back to the collision detector of the
+/// diagnosed round (Alg. 1 line 14).
+///
+/// Bit-sliced tally: one pass over the rows accumulates every column at
+/// once. Byte `j % 8` of `acc[(j / 8) * b + lane]` counts the ok votes for
+/// subject `j` over all present rows, *including* row `j`'s self-opinion,
+/// which the resolution pass subtracts back out. A byte never holds more
+/// than `N ≤ 64` votes, so no carry crosses into the next subject. The
+/// tally visits `N` rows of `C = ⌈N/8⌉` words each for all `N` columns at
+/// once; `C` is a compile-time constant so the word loop unrolls.
+///
+/// Kept out of line, like [`update`]: as parameters, the `&mut` lane
+/// arrays they write are known to alias nothing they read. Inlined into
+/// `analyze`, which reaches the same arrays through `self`, the lane loops
+/// of both compiled to scalar code, 2.6× slower per lane-round at N = 16
+/// on an AVX-512 host.
+#[inline(never)]
+fn vote<const C: usize>(hv: &mut [u64], acc: &mut [u64], m: &Matrix<'_>) {
+    let b = hv.len();
+    let n = m.lanes.n_nodes();
+    let (present, count, coll) = (&m.present[..b], &m.count[..b], &m.coll[..b]);
+    let acc = &mut acc[..C * b];
+    acc.fill(0);
+    for r in 0..n {
+        let row = &m.row(r)[..b];
+        for c in 0..C {
+            let word = &mut acc[c * b..c * b + b];
+            for ((a, &x), &p) in word.iter_mut().zip(row).zip(present) {
+                let pr = 0u64.wrapping_sub((p >> r) & 1);
+                *a += spread8((x & pr) >> (8 * c) & 0xFF);
+            }
+        }
+    }
+    for j in 0..n {
+        let rowj = &m.row(j)[..b];
+        let word = &acc[(j / 8) * b..(j / 8) * b + b];
+        let shift = 8 * (j % 8);
+        let bit = 1u64 << j;
+        let own_column = (j == m.i) as u64;
+        for lane in 0..b {
+            let present_j = (present[lane] >> j) & 1;
+            let self_vote = ((rowj[lane] >> j) & present_j) as u32;
+            let okc = ((word[lane] >> shift) & 0xFF) as u32 - self_vote;
+            let votes = count[lane] - present_j as u32;
+            let voted = (2 * okc >= votes) as u64;
+            let undecidable = (votes == 0) as u64;
+            // Undecidable is only reachable on the own column (the forced
+            // own row votes on every other column).
+            let fallback = (coll[lane] >> m.i) & 1 | (own_column ^ 1);
+            let h = voted & (undecidable ^ 1) | (fallback & undecidable);
+            hv[lane] = (hv[lane] & !bit) | (h << j);
+        }
+    }
+}
+
+/// Everything Alg. 2 reads for one observer, across all lanes.
+struct UpdateInputs<'a> {
+    /// The observer's activity row (bit `j` set = subject `j` active).
+    active: &'a [u64],
+    live: &'a [u64],
+    /// The voted health vectors.
+    hv: &'a [u64],
+    /// Criticality per subject.
+    crit: &'a [u64],
+    pthresh: &'a [u64],
+    rthresh: &'a [u64],
+}
+
+/// Alg. 2 for one observer, branch-free: penalties charge by criticality
+/// on a faulty verdict, rewards accrue on healthy verdicts with a pending
+/// penalty, reaching R forgives, exceeding P isolates (bit `j` of `iso`).
+/// Retired lanes and already-isolated subjects mask out. `pen` and `rew`
+/// are the observer's counters, `[j * b + lane]`. Out of line for the
+/// reason given at [`vote`].
+#[inline(never)]
+fn update(
+    pen: &mut [u64],
+    rew: &mut [u64],
+    iso: &mut [u64],
+    fgv: &mut [u64],
+    v: &UpdateInputs<'_>,
+) {
+    let b = iso.len();
+    let fgv = &mut fgv[..b];
+    let (active, live, hv) = (&v.active[..b], &v.live[..b], &v.hv[..b]);
+    let (pthresh, rthresh) = (&v.pthresh[..b], &v.rthresh[..b]);
+    for (j, &crit) in v.crit.iter().enumerate() {
+        let pen = &mut pen[j * b..j * b + b];
+        let rew = &mut rew[j * b..j * b + b];
+        for lane in 0..b {
+            let act = (active[lane] >> j) & live[lane];
+            let hvj = (hv[lane] >> j) & 1;
+            let pen0 = pen[lane];
+            let rew0 = rew[lane];
+            let faulty = act & (hvj ^ 1);
+            let reward_step = act & hvj & (pen0 > 0) as u64;
+            // 0/1 flags widened to all-ones masks: an AND is one cheap
+            // vector op where a 64-bit multiply is not.
+            let p1 = pen0 + (crit & 0u64.wrapping_sub(faulty));
+            let r1 = (rew0 & 0u64.wrapping_sub(faulty ^ 1)) + reward_step;
+            let forgive = reward_step & (r1 >= rthresh[lane]) as u64;
+            let keep = 0u64.wrapping_sub(forgive ^ 1);
+            pen[lane] = p1 & keep;
+            rew[lane] = r1 & keep;
+            fgv[lane] += forgive;
+            iso[lane] |= (faulty & (p1 > pthresh[lane]) as u64) << j;
+        }
+    }
 }
 
 impl BatchDiagJob {
@@ -148,8 +290,7 @@ impl BatchDiagJob {
             hashers: vec![Fnv1a64::new(); b],
             rp: vec![0; b],
             pc: vec![0; b],
-            okc: vec![0; b],
-            acc: vec![0; b],
+            acc: vec![0; n.div_ceil(8) * b],
             hv: vec![0; b],
             coll: vec![0; b],
             iso: vec![0; b],
@@ -329,130 +470,41 @@ impl BatchDiagJob {
                     pcs[lane] = rp.count_ones();
                 }
             }
-            // H-maj vote per column j: majority over the present rows'
-            // opinions, excluding row j (the subject's self-opinion); ties
-            // and empty columns default to healthy, except that an
-            // undecidable own column falls back to the collision detector
-            // of the diagnosed round (Alg. 1 line 14).
-            if n <= 8 {
-                // Bit-sliced tally: one pass over the rows accumulates every
-                // column at once — byte `j` of `acc[lane]` counts the ok
-                // votes for subject `j` over all present rows, *including*
-                // row `j`'s self-opinion, which the resolution pass below
-                // subtracts back out. Cuts the N³ tally to N² row visits.
-                let acc = &mut self.acc[..b];
-                let rp = &self.rp[..b];
-                acc.fill(0);
-                for r in 0..n {
-                    let row = if r == i {
-                        &self.row_prev[i * b..i * b + b]
-                    } else {
-                        &lanes.syndrome_row(i, r)[..b]
-                    };
-                    for lane in 0..b {
-                        let pr = 0u64.wrapping_sub((rp[lane] >> r) & 1);
-                        acc[lane] += spread8(row[lane] & pr & 0xFF);
-                    }
-                }
-                let pc = &self.pc[..b];
-                let coll = &self.coll[..b];
-                let hv = &mut self.hv[..b];
-                for j in 0..n {
-                    let rowj = if j == i {
-                        &self.row_prev[i * b..i * b + b]
-                    } else {
-                        &lanes.syndrome_row(i, j)[..b]
-                    };
-                    let bit = 1u64 << j;
-                    let own_column = (j == i) as u64;
-                    for lane in 0..b {
-                        let present_j = (rp[lane] >> j) & 1;
-                        let self_vote = ((rowj[lane] >> j) & present_j) as u32;
-                        let okc = ((acc[lane] >> (8 * j)) & 0xFF) as u32 - self_vote;
-                        let votes = pc[lane] - present_j as u32;
-                        let voted = (2 * okc >= votes) as u64;
-                        let undecidable = (votes == 0) as u64;
-                        // Undecidable is only reachable on the own column
-                        // (the forced own row votes on every other column).
-                        let fallback = (coll[lane] >> i) & 1 | (own_column ^ 1);
-                        let h = voted & (undecidable ^ 1) | (fallback & undecidable);
-                        hv[lane] = (hv[lane] & !bit) | (h << j);
-                    }
-                }
-            } else {
-                for j in 0..n {
-                    let okc = &mut self.okc[..b];
-                    let rp = &self.rp[..b];
-                    okc.fill(0);
-                    for r in 0..n {
-                        if r == j {
-                            continue;
-                        }
-                        let row = if r == i {
-                            &self.row_prev[i * b..i * b + b]
-                        } else {
-                            &lanes.syndrome_row(i, r)[..b]
-                        };
-                        for lane in 0..b {
-                            let pr = (rp[lane] >> r) & 1;
-                            okc[lane] += ((row[lane] >> j) & pr) as u32;
-                        }
-                    }
-                    let bit = 1u64 << j;
-                    let own_column = (j == i) as u64;
-                    let pc = &self.pc[..b];
-                    let coll = &self.coll[..b];
-                    let hv = &mut self.hv[..b];
-                    for lane in 0..b {
-                        let votes = pc[lane] - ((rp[lane] >> j) & 1) as u32;
-                        let voted = (2 * okc[lane] >= votes) as u64;
-                        let undecidable = (votes == 0) as u64;
-                        // Undecidable is only reachable on the own column
-                        // (the forced own row votes on every other column).
-                        let fallback = (coll[lane] >> i) & 1 | (own_column ^ 1);
-                        let h = voted & (undecidable ^ 1) | (fallback & undecidable);
-                        hv[lane] = (hv[lane] & !bit) | (h << j);
-                    }
-                }
+            let m = Matrix {
+                lanes,
+                i,
+                own: &self.row_prev[i * b..i * b + b],
+                present: &self.rp[..b],
+                count: &self.pc[..b],
+                coll: &self.coll[..b],
+            };
+            let (hv, acc) = (&mut self.hv[..b], &mut self.acc);
+            match n.div_ceil(8) {
+                1 => vote::<1>(hv, acc, &m),
+                2 => vote::<2>(hv, acc, &m),
+                3 => vote::<3>(hv, acc, &m),
+                4 => vote::<4>(hv, acc, &m),
+                5 => vote::<5>(hv, acc, &m),
+                6 => vote::<6>(hv, acc, &m),
+                7 => vote::<7>(hv, acc, &m),
+                _ => vote::<8>(hv, acc, &m),
             }
-            // Alg. 2, branch-free: penalties charge by criticality on a
-            // faulty verdict, rewards accrue on healthy verdicts with a
-            // pending penalty, reaching R forgives, exceeding P isolates.
-            // Retired lanes and already-isolated subjects multiply out.
             self.iso[..b].fill(0);
-            {
-                let active = &lanes.active_row(i)[..b];
-                let live = &lanes.live()[..b];
-                let hv = &self.hv[..b];
-                let iso = &mut self.iso[..b];
-                let fgv = &mut self.fgv[..b];
-                let pthresh = &self.pthresh[..b];
-                let rthresh = &self.rthresh[..b];
-                for j in 0..n {
-                    let base = (i * n + j) * b;
-                    let crit = self.crit[j];
-                    let pen = &mut self.pen[base..base + b];
-                    let rew = &mut self.rew[base..base + b];
-                    for lane in 0..b {
-                        let act = (active[lane] >> j) & live[lane];
-                        let hvj = (hv[lane] >> j) & 1;
-                        let pen0 = pen[lane];
-                        let rew0 = rew[lane];
-                        let faulty = act & (hvj ^ 1);
-                        let reward_step = act & hvj & (pen0 > 0) as u64;
-                        // 0/1 flags widened to all-ones masks: an AND is one
-                        // cheap vector op where a 64-bit multiply is not.
-                        let p1 = pen0 + (crit & 0u64.wrapping_sub(faulty));
-                        let r1 = (rew0 & 0u64.wrapping_sub(faulty ^ 1)) + reward_step;
-                        let forgive = reward_step & (r1 >= rthresh[lane]) as u64;
-                        let keep = 0u64.wrapping_sub(forgive ^ 1);
-                        pen[lane] = p1 & keep;
-                        rew[lane] = r1 & keep;
-                        fgv[lane] += forgive;
-                        iso[lane] |= (faulty & (p1 > pthresh[lane]) as u64) << j;
-                    }
-                }
-            }
+            let counters = i * n * b..(i + 1) * n * b;
+            update(
+                &mut self.pen[counters.clone()],
+                &mut self.rew[counters],
+                &mut self.iso[..b],
+                &mut self.fgv[..b],
+                &UpdateInputs {
+                    active: lanes.active_row(i),
+                    live: lanes.live(),
+                    hv: &self.hv[..b],
+                    crit: &self.crit,
+                    pthresh: &self.pthresh,
+                    rthresh: &self.rthresh,
+                },
+            );
             // Isolation decisions: clear the observer's activity bits and
             // record the events (node order, like the scalar newly-isolated
             // sweep). Rare, so a per-lane branch on the zero mask is fine.
@@ -723,6 +775,67 @@ mod tests {
             let mut scalar = scalar_cluster(4, 2, 3, pipeline);
             scalar.run_rounds(24);
             assert_lane_matches(&job, &scalar, lane);
+        }
+    }
+
+    #[test]
+    fn wide_column_verdict_flips_at_the_majority_boundary() {
+        // N = 16: subject 12's votes land in the second tally word. One
+        // asymmetric fault on its slot is detected by 7 of its 15
+        // receivers in lane 0 (8 of 15 ok votes: healthy) and by 8 in
+        // lane 1 (7 of 15: faulty). The detectors span both words.
+        let (n, sender, round) = (16, 12, 6);
+        let receivers: Vec<usize> = (0..n).filter(|&r| r != sender).step_by(2).collect();
+        let detectors = [&receivers[..7], &receivers[..8]];
+        let plans = detectors
+            .iter()
+            .map(|d| {
+                BatchFaultPlan::new(vec![LaneFault {
+                    slot: sender,
+                    first_round: round,
+                    hits: 1,
+                    stride: 1,
+                    effect: LaneEffect::Asymmetric {
+                        detected_by: d.iter().map(|&r| 1u64 << r).sum(),
+                        collision_ok: true,
+                    },
+                }])
+            })
+            .collect();
+        let params = BatchLaneParams {
+            penalty_threshold: 10,
+            reward_threshold: 10,
+        };
+        let mut batch = BatchCluster::new(n, plans).unwrap();
+        let mut job = BatchDiagJob::new(n, &[params; 2]).with_recording();
+        batch.run_rounds(16, &mut job);
+        for (lane, d) in detectors.into_iter().enumerate() {
+            let detected_by = d.to_vec();
+            let mut scalar = scalar_cluster(n, 10, 10, move |ctx: &TxCtx| {
+                if ctx.sender.index() == sender && ctx.round.as_u64() == round {
+                    SlotEffect::Asymmetric {
+                        detected_by: detected_by.clone(),
+                        collision_ok: true,
+                    }
+                } else {
+                    SlotEffect::Correct
+                }
+            });
+            scalar.run_rounds(16);
+            assert_lane_matches(&job, &scalar, lane);
+            for i in 0..n {
+                let verdict = job
+                    .health_log(lane, i)
+                    .iter()
+                    .find(|h| h.diagnosed == RoundIndex::new(round))
+                    .expect("the faulty round is diagnosed");
+                assert_eq!(
+                    verdict.health[sender],
+                    lane == 0,
+                    "observer {i}, lane {lane}"
+                );
+                assert_eq!(job.penalty(lane, i, sender), lane as u64, "observer {i}");
+            }
         }
     }
 

@@ -278,8 +278,8 @@ impl BatchLanes {
     /// The collision-detector observations of `round` (bit `p` = own
     /// transmission in slot `p` was readable on the bus).
     ///
-    /// Only the last `COLLISION_RING` (16) completed rounds are retained;
-    /// the protocol queries `k - 3`, well inside the window.
+    /// Only the last `COLLISION_RING` (4) completed rounds are retained;
+    /// the protocol queries `k - 3`, inside the window.
     #[inline]
     pub fn collision_row(&self, round: u64) -> &[u64] {
         debug_assert!(

@@ -273,57 +273,69 @@ fn steady_state_run_round_allocates_nothing_with_trace_off() {
     // once, even in the campaign configuration (fingerprints enabled, the
     // streams pre-reserved up front) and with heterogeneous faults
     // streaming — fault effects are pure bitset arithmetic on the
-    // structure-of-arrays state.
-    let plans: Vec<BatchFaultPlan> = (0..64)
-        .map(|lane| {
-            BatchFaultPlan::new(match lane % 4 {
-                0 => Vec::new(),
-                1 => vec![LaneFault {
-                    slot: 2,
-                    first_round: 8,
-                    hits: u64::MAX,
-                    stride: 3,
-                    effect: LaneEffect::Benign,
-                }],
-                2 => vec![LaneFault {
-                    slot: 1,
-                    first_round: 10,
-                    hits: u64::MAX,
-                    stride: 2,
-                    effect: LaneEffect::Malicious { mask: 0b0000_0010 },
-                }],
-                _ => vec![LaneFault {
-                    slot: 4,
-                    first_round: 6,
-                    hits: u64::MAX,
-                    stride: 1,
-                    effect: LaneEffect::Asymmetric {
-                        detected_by: 0b0000_0101,
-                        collision_ok: true,
-                    },
-                }],
+    // structure-of-arrays state. That holds at every vote-tally width:
+    // one word per lane at N = 8, two at N = 16, eight at N = 64, all
+    // allocated when the job is built. The faults reach the top word.
+    let batch_plans = |n: usize| -> Vec<BatchFaultPlan> {
+        (0..64)
+            .map(|lane| {
+                BatchFaultPlan::new(match lane % 4 {
+                    0 => Vec::new(),
+                    1 => vec![LaneFault {
+                        slot: 2,
+                        first_round: 8,
+                        hits: u64::MAX,
+                        stride: 3,
+                        effect: LaneEffect::Benign,
+                    }],
+                    2 => vec![LaneFault {
+                        slot: 1,
+                        first_round: 10,
+                        hits: u64::MAX,
+                        stride: 2,
+                        effect: LaneEffect::Malicious {
+                            mask: 0b10 | 1 << (n - 1),
+                        },
+                    }],
+                    _ => vec![LaneFault {
+                        slot: n - 4,
+                        first_round: 6,
+                        hits: u64::MAX,
+                        stride: 1,
+                        effect: LaneEffect::Asymmetric {
+                            detected_by: 0b101 | 1 << (n - 2),
+                            collision_ok: true,
+                        },
+                    }],
+                })
             })
-        })
-        .collect();
+            .collect()
+    };
     let params = BatchLaneParams {
         penalty_threshold: 1_000_000,
         reward_threshold: 1_000_000,
     };
-    let mut batch = BatchCluster::new(8, plans.clone()).expect("valid batch");
-    let mut batch_job = BatchDiagJob::new(8, &[params; 64]).with_fingerprints(32 + 256);
-    batch.run_rounds(32, &mut batch_job);
-    let before = allocations();
-    batch.run_rounds(256, &mut batch_job);
-    assert_eq!(
-        allocations() - before,
-        0,
-        "batched steady-state rounds must not allocate (256 rounds x 64 faulty lanes)"
-    );
+    for n in [8, 16, 64] {
+        // At N = 64 four lanes (one per fault kind) keep the unoptimized
+        // test build quick: fingerprinting 64 observers dominates its cost.
+        let lanes = if n == 64 { 4 } else { 64 };
+        let plans = batch_plans(n)[..lanes].to_vec();
+        let mut batch = BatchCluster::new(n, plans).expect("valid batch");
+        let mut batch_job = BatchDiagJob::new(n, &vec![params; lanes]).with_fingerprints(32 + 256);
+        batch.run_rounds(32, &mut batch_job);
+        let before = allocations();
+        batch.run_rounds(256, &mut batch_job);
+        assert_eq!(
+            allocations() - before,
+            0,
+            "batched steady-state rounds must not allocate (N = {n}, 256 rounds x {lanes} lanes)"
+        );
+    }
 
     // Positive control: the batched recording mode (the equivalence tests'
     // inspection path) pushes health records and counter samples, proving
     // the counter sees the batched job's traffic too.
-    let mut batch = BatchCluster::new(8, plans).expect("valid batch");
+    let mut batch = BatchCluster::new(8, batch_plans(8)).expect("valid batch");
     let mut recording_job = BatchDiagJob::new(8, &[params; 64]).with_recording();
     batch.run_rounds(32, &mut recording_job);
     let before = allocations();

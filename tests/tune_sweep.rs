@@ -1,8 +1,9 @@
 //! Campaign-scale tuning sweeps (`tt_analysis::sweep`, `ttdiag tune
-//! sweep`): the pinned small-grid golden behind CI's tune-goldens job,
-//! halt/resume byte-equivalence at arbitrary interrupt points, the
-//! batched-vs-scalar agreement of a sweep cell's observations, and the
-//! empirical Fig. 3 boundary against the analytic model.
+//! sweep`): the pinned small-grid and wide-cluster goldens behind CI's
+//! tune-goldens job, halt/resume byte-equivalence at arbitrary interrupt
+//! points, the batched-vs-scalar agreement of a sweep cell's
+//! observations, and the empirical Fig. 3 boundary against the analytic
+//! model.
 
 use proptest::prelude::*;
 
@@ -15,9 +16,20 @@ use tt_fault::{
     FaultSchedule, TransientCell,
 };
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/tune_sweep_small.json")
+/// Asserts `config`'s sweep report equals the committed golden `name`.
+fn assert_matches_golden(config: &SweepConfig, name: &str) {
+    let outcome = run_sweep(config, &SweepSupervisor::default()).unwrap();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    let expected =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
+    assert_eq!(
+        sweep_json(&outcome.report),
+        expected,
+        "pinned sweep drifted from its golden snapshot {name}; if intentional, \
+         regenerate with `cargo run -p tt-bench --bin gen_golden`"
+    );
 }
 
 /// A 4-cell grid small enough to proptest halt/resume over.
@@ -38,15 +50,24 @@ fn tiny_config() -> SweepConfig {
 
 #[test]
 fn pinned_grid_matches_golden() {
-    let outcome = run_sweep(&SweepConfig::default(), &SweepSupervisor::default()).unwrap();
-    let expected = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("missing golden tune_sweep_small.json: {e}"));
-    assert_eq!(
-        sweep_json(&outcome.report),
-        expected,
-        "pinned sweep drifted from its golden snapshot; if intentional, \
-         regenerate with `cargo run -p tt-bench --bin gen_golden`"
-    );
+    assert_matches_golden(&SweepConfig::default(), "tune_sweep_small.json");
+}
+
+#[test]
+fn pinned_wide_grid_matches_golden() {
+    // N ∈ {9, 16, 33} runs the vote tally with two and five words a lane.
+    // Same grid as `ttdiag tune sweep --nodes 9,16,33 --penalty 1,41
+    // --reward 2 --crit 1 --intermittent 6 --experiments 64`.
+    let config = SweepConfig {
+        nodes: vec![9, 16, 33],
+        penalty_thresholds: vec![1, 41],
+        reward_thresholds: vec![2],
+        criticalities: vec![1],
+        intermittent_periods: vec![6],
+        experiments: 64,
+        ..SweepConfig::default()
+    };
+    assert_matches_golden(&config, "tune_sweep_wide.json");
 }
 
 #[test]
