@@ -9,8 +9,8 @@
 //! [`SweepCell`] runs a batch of seeded randomized fault campaigns —
 //! Poisson transients striking a healthy victim node, optionally next to
 //! a genuinely intermittent node — through the lockstep batched engine
-//! ([`tt_fault::observe_schedules_batched`], falling back to the scalar
-//! path when a cell's shape is unsupported) and estimates:
+//! ([`tt_fault::observe_schedules_batched`], which runs every cluster
+//! size [`SweepConfig::validate`] admits) and estimates:
 //!
 //! * **false-isolation probability** of the healthy victim, with Wilson
 //!   confidence intervals ([`crate::stats::wilson_interval`]);
@@ -39,9 +39,9 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use tt_fault::{
-    experiment_seed, first_victim_arrival, max_fault_round, observe_schedule,
-    observe_schedules_batched, round_for, sampled_schedule, victim_arrivals, write_json_atomic,
-    FaultSchedule, TransientCell, CHECKPOINT_VERSION, MIN_FAULT_ROUND,
+    experiment_seed, first_victim_arrival, max_fault_round, observe_schedules_batched, round_for,
+    sampled_schedule, victim_arrivals, write_json_atomic, FaultSchedule, TransientCell,
+    CHECKPOINT_VERSION, MIN_FAULT_ROUND,
 };
 
 use crate::correlation::correlation_probability;
@@ -318,8 +318,10 @@ pub struct CellEstimate {
     pub forgiveness: u64,
     /// Reintegrations (always 0: sweeps run with reintegration disabled).
     pub reintegrations: u64,
-    /// Whether every batch ran on the lockstep engine (`false` = at least
-    /// one chunk fell back to the scalar path).
+    /// Whether every batch ran on the lockstep engine. Always `true` for
+    /// a grid that passed [`SweepConfig::validate`], since the engine runs
+    /// every cluster size it admits; kept because the JSON and CSV
+    /// exports carry the column.
     pub batched: bool,
 }
 
@@ -494,9 +496,8 @@ fn run_from(
 
 /// Runs every experiment of one cell and folds the observations into its
 /// estimate. Chunks of `batch_size` run on the lockstep engine, which
-/// accepts every cluster size [`SweepConfig::validate`] admits (4..=64); a
-/// chunk the engine still refuses falls back to the scalar path,
-/// observation for observation identical.
+/// accepts every cluster size [`SweepConfig::validate`] admits (4..=64);
+/// only [`run_sweep`] and [`resume_sweep`] reach here, after validation.
 fn run_cell(config: &SweepConfig, cell: &SweepCell) -> CellEstimate {
     let crit = vec![cell.criticality; cell.n];
     let workload = TransientCell {
@@ -518,7 +519,6 @@ fn run_cell(config: &SweepConfig, cell: &SweepCell) -> CellEstimate {
     let mut tti_false: Vec<f64> = Vec::new();
     let mut tti_correct: Vec<f64> = Vec::new();
     let mut forgiveness = 0u64;
-    let mut batched = true;
 
     let mut rep = 0u64;
     while rep < config.experiments {
@@ -526,16 +526,9 @@ fn run_cell(config: &SweepConfig, cell: &SweepCell) -> CellEstimate {
         let schedules: Vec<FaultSchedule> = (rep..rep + chunk)
             .map(|r| sampled_schedule(&workload, experiment_seed(config.base_seed, cell.index, r)))
             .collect();
-        let observations = match observe_schedules_batched(&schedules, &crit) {
-            Ok(obs) => obs,
-            Err(_) => {
-                batched = false;
-                schedules
-                    .iter()
-                    .map(|s| observe_schedule(s, &crit))
-                    .collect()
-            }
-        };
+        let observations = observe_schedules_batched(&schedules, &crit).expect(
+            "a validated grid (N in 4..=64, fault slots sampled in range) runs on the lockstep engine",
+        );
         for (schedule, obs) in schedules.iter().zip(&observations) {
             arrivals += victim_arrivals(schedule);
             let first = first_victim_arrival(schedule);
@@ -587,7 +580,7 @@ fn run_cell(config: &SweepConfig, cell: &SweepCell) -> CellEstimate {
         time_to_correct_isolation: IsolationLatency::of(&tti_correct, round_seconds),
         forgiveness,
         reintegrations: 0,
-        batched,
+        batched: true,
     }
 }
 

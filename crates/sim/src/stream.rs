@@ -18,7 +18,13 @@
 //!   single uncontended relaxed load (no lock, no read-modify-write, no
 //!   allocation), so the `NoopSink` guarantee — 0 allocations per round on
 //!   the simulation hot path — still holds for a serve-capable cluster
-//!   with nobody watching. This is pinned by `tests/alloc_free.rs`.
+//!   with nobody watching. This is pinned by `tests/alloc_free.rs`;
+//! * with subscribers attached, a publish costs one uncontended lock and
+//!   a copy into each ring, and no syscall while no subscriber is parked
+//!   in [`Subscription::recv_timeout`]. Only a parked subscriber costs a
+//!   condvar wake, one per publish until it has drained: the hub counts
+//!   parked subscribers under its lock, and a subscriber drains its ring
+//!   under that lock before it parks, so skipping the wake loses no frame.
 //!
 //! Three feed element types are streamed in practice: [`MetricsEvent`],
 //! [`SpanEvent`], and the job-lifecycle [`ProgressEvent`] introduced here.
@@ -209,6 +215,9 @@ struct HubInner<E> {
     next_seq: u64,
     next_id: u64,
     slots: Vec<SubscriberSlot<E>>,
+    /// Subscribers blocked on the condvar in `recv_timeout`. Only a
+    /// non-zero count makes `publish` pay for a wake.
+    parked: usize,
 }
 
 /// A fan-out hub for one live event feed.
@@ -249,6 +258,7 @@ impl<E> StreamHub<E> {
                 next_seq: 0,
                 next_id: 0,
                 slots: Vec::new(),
+                parked: 0,
             }),
             wakeup: Condvar::new(),
         }
@@ -303,9 +313,17 @@ impl<E: Clone> StreamHub<E> {
     /// Publishes one event to every attached subscriber, assigning it the
     /// next feed-global sequence number.
     ///
-    /// With no subscribers this returns immediately (one relaxed load)
-    /// without assigning a sequence number; publishers normally never even
-    /// get here because the streaming sinks answer `enabled() == false`.
+    /// Cost model:
+    ///
+    /// * no subscriber: one relaxed load, and it returns without assigning
+    ///   a sequence number (publishers normally never even get here
+    ///   because the streaming sinks answer `enabled() == false`);
+    /// * subscribers attached, none parked in
+    ///   [`Subscription::recv_timeout`]: one uncontended lock and a copy
+    ///   into each ring, no syscall;
+    /// * a subscriber parked: additionally one condvar wake per publish,
+    ///   until the woken subscriber has taken the lock and drained.
+    ///
     /// A full subscriber ring evicts its oldest frame and bumps that
     /// subscriber's drop counter — publishing never blocks on consumers.
     pub fn publish(&self, event: E) {
@@ -328,8 +346,14 @@ impl<E: Clone> StreamHub<E> {
                 event: event.clone(),
             });
         }
+        // A subscriber drains its ring under this lock before it parks,
+        // so one that is not counted here has already seen this frame or
+        // will see it before it waits: skipping the wake loses nothing.
+        let wake = inner.parked != 0;
         drop(inner);
-        self.wakeup.notify_all();
+        if wake {
+            self.wakeup.notify_all();
+        }
     }
 }
 
@@ -357,26 +381,44 @@ impl<E> Subscription<E> {
     }
 
     /// Waits up to `timeout` for at least one frame, then drains up to
-    /// `max`. Returns an empty vector on timeout.
+    /// `max`. Returns an empty vector on timeout, and at once when `max`
+    /// is 0. A timeout too large to add to the current instant (such as
+    /// `Duration::MAX`) waits with no deadline.
     pub fn recv_timeout(&self, timeout: Duration, max: usize) -> Vec<Framed<E>> {
-        let deadline = Instant::now() + timeout;
+        if max == 0 {
+            return Vec::new();
+        }
+        let deadline = Instant::now().checked_add(timeout);
         let mut inner = self.hub.lock();
         loop {
             let drained = self.drain_slot(&mut inner, max);
             if !drained.is_empty() {
                 return drained;
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Vec::new();
+            let remaining = match deadline {
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Vec::new();
+                    }
+                    Some(left)
+                }
+                None => None,
             };
-            inner = match self.hub.wakeup.wait_timeout(inner, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
+            // Counted under the lock the ring was just found empty under,
+            // so the next publish sees this subscriber and wakes it.
+            inner.parked += 1;
+            inner = match remaining {
+                Some(remaining) => match self.hub.wakeup.wait_timeout(inner, remaining) {
+                    Ok((g, _)) => g,
+                    Err(poisoned) => poisoned.into_inner().0,
+                },
+                None => match self.hub.wakeup.wait(inner) {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                },
             };
+            inner.parked -= 1;
         }
     }
 
@@ -578,6 +620,86 @@ mod tests {
         t.join().unwrap();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].event, 3);
+    }
+
+    /// Spins until `ready` holds for the hub's state, panicking after
+    /// `patience`.
+    fn await_hub<E>(
+        hub: &StreamHub<E>,
+        patience: Duration,
+        what: &str,
+        ready: impl Fn(&HubInner<E>) -> bool,
+    ) {
+        let started = Instant::now();
+        while !ready(&hub.lock()) {
+            assert!(started.elapsed() < patience, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_subscriber_is_woken_by_every_publish() {
+        const FRAMES: u64 = 200;
+        // The consumer would see a frame whose wake was lost only when its
+        // wait times out; the publisher gives up well before that.
+        const TIMEOUT: Duration = Duration::from_secs(30);
+        const PATIENCE: Duration = Duration::from_secs(10);
+        let hub = Arc::new(StreamHub::new());
+        let sub = hub.subscribe(4);
+        let consumer = std::thread::spawn(move || {
+            (0..FRAMES)
+                .map(|_| sub.recv_timeout(TIMEOUT, usize::MAX))
+                .collect::<Vec<_>>()
+        });
+        for i in 0..FRAMES {
+            // Publish only once the consumer has taken every earlier frame
+            // and parked again, so each frame takes the wake path.
+            await_hub(&hub, PATIENCE, "lost wakeup: consumer stuck", |inner| {
+                inner.parked == 1 && inner.slots.first().is_some_and(|s| s.delivered == i)
+            });
+            hub.publish(i);
+        }
+        let calls = consumer.join().expect("consumer thread");
+        for (i, frames) in calls.iter().enumerate() {
+            let seqs: Vec<u64> = frames.iter().map(|f| f.seq).collect();
+            assert_eq!(seqs, vec![i as u64], "one frame per call, in order");
+        }
+        assert_eq!(hub.lock().parked, 0);
+    }
+
+    #[test]
+    fn recv_timeout_with_max_zero_returns_at_once() {
+        let hub = Arc::new(StreamHub::new());
+        let sub = hub.subscribe(4);
+        hub.publish(1u64);
+        let started = Instant::now();
+        assert!(sub.recv_timeout(Duration::from_secs(60), 0).is_empty());
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "parked despite max 0"
+        );
+        assert_eq!(sub.stats().lag, 1, "the buffered frame stays buffered");
+    }
+
+    #[test]
+    fn recv_timeout_past_the_representable_deadline_waits_without_one() {
+        let hub = Arc::new(StreamHub::new());
+        let sub = hub.subscribe(4);
+        hub.publish(1u64);
+        assert_eq!(sub.recv_timeout(Duration::MAX, 8).len(), 1);
+        // Parked with no deadline: only the publish can end the wait.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer =
+            std::thread::spawn(move || tx.send(sub.recv_timeout(Duration::MAX, 8)).unwrap());
+        await_hub(&hub, Duration::from_secs(10), "never parked", |inner| {
+            inner.parked == 1
+        });
+        hub.publish(2u64);
+        let frames = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked subscriber was not woken");
+        consumer.join().unwrap();
+        assert_eq!(frames.iter().map(|f| f.event).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
