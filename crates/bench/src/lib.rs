@@ -8,15 +8,11 @@
 //!   reports;
 //! * the `fig3` / `table1` / `table2` / `table4` / `validation` /
 //!   `repro_all` binaries (thin wrappers over [`experiments`]);
-//! * [`observability`] — the instrumented-vs-noop overhead measurement,
-//!   the CI bench-gate check, and the canonical scenario behind the
-//!   `tests/golden/metrics_events.json` snapshot;
+//! * [`observability`] — the host fingerprint that benchmark results
+//!   carry, and the canonical scenarios behind the
+//!   `tests/golden/metrics_events*.json` snapshots;
 //! * [`parallel`] — the lock-free persistent campaign worker pool (with
 //!   panic quarantine, so one crashing experiment cannot poison the pool);
-//! * [`batched`] — the lockstep Monte Carlo campaign: workers claim whole
-//!   batches of seeded fault schedules and evaluate them as lanes of one
-//!   structure-of-arrays [`tt_sim::BatchCluster`], with checkpoint/resume
-//!   and a scalar byte-identity cross-check;
 //! * [`supervised`] — fault-tolerant campaign execution: watchdog
 //!   deadlines, retry/backoff, Alg. 2-style worker health and isolation,
 //!   and atomic checkpoint/resume;
@@ -24,15 +20,12 @@
 //!   `ttdiag serve`: a queue of campaign/explore/tune-sweep jobs executed
 //!   in halt/resumable checkpointed chunks with live metrics, span and
 //!   progress feeds;
-//! * the criterion benches under `benches/` (one per table/figure plus
-//!   scaling and ablation benches);
 //! * the workspace-level integration tests under `tests/` and the runnable
 //!   examples under `examples/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod comparison;
 pub mod experiments;
 pub mod observability;
@@ -40,17 +33,11 @@ pub mod parallel;
 pub mod service;
 pub mod supervised;
 
-pub use batched::{
-    matches_scalar, BatchedCampaign, BatchedCheckpoint, BatchedResult, BatchedSupervisor,
-    LaneOutcome,
-};
 pub use comparison::comparison_report;
 pub use experiments::*;
 pub use observability::{
-    canonical_metrics_report, check_batched_gate, check_rounds_gate, lightning_metrics_report,
-    measure_overhead, normalize_report, BatchedSample, HostFingerprint, OverheadSample,
-    RoundsSample, ThroughputBaseline, GATE_MAX_REGRESSION, GATE_N_NODES,
+    canonical_metrics_report, lightning_metrics_report, normalize_report, HostFingerprint,
 };
-pub use parallel::{run_parallel_campaign, run_parallel_campaign_legacy, CampaignExecutor};
+pub use parallel::{run_parallel_campaign, CampaignExecutor};
 pub use service::{DiagService, FeedHubs, JobSpec, JobState, JobStatus};
 pub use supervised::{LiveFeeds, SupervisedCampaign, SupervisedOutcome, SupervisorConfig};

@@ -1,35 +1,23 @@
-//! Observability benchmarks and fixtures: the instrumented-vs-noop
-//! overhead measurement behind `throughput --overhead`, the bench-gate
-//! check used by CI, and the canonical instrumented scenario whose event
-//! stream is snapshotted under `tests/golden/metrics_events.json`.
+//! Benchmark provenance and observability fixtures: the [`HostFingerprint`]
+//! that perfbench prints with every result and `BENCH_perfbench.json`
+//! records with every row, and the canonical instrumented scenarios whose
+//! event streams are snapshotted under `tests/golden/metrics_events*.json`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use tt_core::{DiagJob, ProtocolConfig};
 use tt_fault::{DisturbanceNode, TransientScenario};
 use tt_sim::{
-    Cluster, ClusterBuilder, CommunicationSchedule, MetricsEvent, MetricsReport, MetricsSink,
-    Nanos, NoFaults, NodeId, RecordingSink, RecordingTraceSink, SlotEffect, TraceMode, TxCtx,
+    ClusterBuilder, CommunicationSchedule, MetricsEvent, MetricsReport, Nanos, NodeId,
+    RecordingSink, SlotEffect, TraceMode, TxCtx,
 };
 
-/// One rounds/sec measurement of the substrate hot path, as written to
-/// `BENCH_throughput.json` (and read back by [`check_rounds_gate`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundsSample {
-    /// Cluster size.
-    pub n_nodes: usize,
-    /// Steady-state `Cluster::run_round` throughput.
-    pub rounds_per_sec: f64,
-}
-
-/// The machine a benchmark sample was measured on. Throughput numbers are
-/// only comparable between identical hosts, so the fingerprint joins the
-/// workload shape in [`check_batched_gate`]'s like-for-like test: a
-/// baseline measured on different silicon (or with a different
-/// `target-cpu`) skips the comparison instead of mis-gating it.
+/// The machine a benchmark result was measured on. Absolute throughput is
+/// only comparable between identical hosts, so every perfbench result and
+/// every `BENCH_perfbench.json` row carries one: two numbers with different
+/// fingerprints (silicon, core count or `target-cpu`) do not gate each other.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostFingerprint {
     /// Logical CPU count visible to the process.
@@ -84,349 +72,6 @@ fn target_cpu() -> String {
         std::env::consts::ARCH.to_string()
     } else {
         format!("{}[{}]", std::env::consts::ARCH, features.join("+"))
-    }
-}
-
-/// One batched-campaign throughput measurement, as written to
-/// `BENCH_throughput.json` by `throughput --batched` (and read back by
-/// [`check_batched_gate`]). The workload fields exist so the gate can
-/// refuse to compare measurements of different shapes — the schema-drift
-/// fix: a number without its `threads`/`batch_size`/cluster-size context
-/// is not comparable across commits.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BatchedSample {
-    /// Cluster size of every lane.
-    pub n_nodes: usize,
-    /// Rounds per experiment (schedule round budget).
-    pub rounds_per_experiment: u64,
-    /// Experiments per timed campaign run.
-    pub experiments: usize,
-    /// Lanes per lockstep batch.
-    pub batch_size: usize,
-    /// Worker threads the sample was measured with.
-    pub threads: usize,
-    /// Timed campaign repetitions.
-    pub iterations: usize,
-    /// Experiments/sec through the lockstep engine.
-    pub batched_experiments_per_sec: f64,
-    /// Experiments/sec of the *same* workload run one-cluster-per-
-    /// experiment (the pooled architecture) on the same single worker
-    /// thread — the like-for-like denominator of
-    /// [`Self::batched_over_pooled`]. The Sec. 8 campaign numbers elsewhere
-    /// in the report measure a different workload (N=4 classes) and are not
-    /// comparable.
-    pub pooled_experiments_per_sec: f64,
-    /// `batched / pooled` — lockstep lanes versus one scalar cluster per
-    /// experiment over the identical experiment list.
-    pub batched_over_pooled: f64,
-    /// Whether the warm-up campaign's digests matched a sequential scalar
-    /// re-derivation ([`crate::matches_scalar`]).
-    pub matches_scalar: bool,
-    /// The host the sample was measured on; `None` in baselines committed
-    /// before fingerprints existed (the gate then skips the comparison).
-    pub host: Option<HostFingerprint>,
-}
-
-// Hand-written so a baseline written before host fingerprints existed —
-// no `host` key at all — still parses as `host: None` (the derive treats
-// every missing field as an error, even `Option`s).
-impl serde::Deserialize for BatchedSample {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("expected map for BatchedSample"))?;
-        let field = |name: &str| {
-            serde::Value::get_field(map, name).ok_or_else(|| {
-                serde::DeError::custom(format!("missing field `{name}` in BatchedSample"))
-            })
-        };
-        Ok(BatchedSample {
-            n_nodes: serde::Deserialize::from_value(field("n_nodes")?)?,
-            rounds_per_experiment: serde::Deserialize::from_value(field("rounds_per_experiment")?)?,
-            experiments: serde::Deserialize::from_value(field("experiments")?)?,
-            batch_size: serde::Deserialize::from_value(field("batch_size")?)?,
-            threads: serde::Deserialize::from_value(field("threads")?)?,
-            iterations: serde::Deserialize::from_value(field("iterations")?)?,
-            batched_experiments_per_sec: serde::Deserialize::from_value(field(
-                "batched_experiments_per_sec",
-            )?)?,
-            pooled_experiments_per_sec: serde::Deserialize::from_value(field(
-                "pooled_experiments_per_sec",
-            )?)?,
-            batched_over_pooled: serde::Deserialize::from_value(field("batched_over_pooled")?)?,
-            matches_scalar: serde::Deserialize::from_value(field("matches_scalar")?)?,
-            host: match serde::Value::get_field(map, "host") {
-                Some(v) => serde::Deserialize::from_value(v)?,
-                None => None,
-            },
-        })
-    }
-}
-
-/// The subset of `BENCH_throughput.json` the CI gate needs. Extra fields
-/// in the committed baseline are ignored on deserialization, so the gate
-/// keeps working as the report grows.
-#[derive(Debug, Clone)]
-pub struct ThroughputBaseline {
-    /// The per-cluster-size hot-path samples.
-    pub rounds: Vec<RoundsSample>,
-    /// The batched-campaign sample; absent in baselines committed before
-    /// the lockstep engine existed (the gate then skips the comparison).
-    pub batched: Option<BatchedSample>,
-}
-
-// Hand-written so a baseline written before the lockstep engine existed —
-// no `batched` key at all — still parses as `batched: None` (the derive
-// treats every missing field as an error, even `Option`s).
-impl serde::Deserialize for ThroughputBaseline {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("expected map for ThroughputBaseline"))?;
-        let rounds = serde::Value::get_field(map, "rounds").ok_or_else(|| {
-            serde::DeError::custom("missing field `rounds` in ThroughputBaseline")
-        })?;
-        Ok(ThroughputBaseline {
-            rounds: serde::Deserialize::from_value(rounds)?,
-            batched: match serde::Value::get_field(map, "batched") {
-                Some(v) => serde::Deserialize::from_value(v)?,
-                None => None,
-            },
-        })
-    }
-}
-
-/// The regression budget of the CI bench gate: a PR fails if rounds/sec at
-/// the gated cluster size drops more than this fraction below the
-/// committed baseline.
-pub const GATE_MAX_REGRESSION: f64 = 0.25;
-
-/// The cluster size the CI gate compares (the middle of the measured
-/// N ∈ {4, 8, 16} spread — large enough to exercise the schedule, small
-/// enough to be stable on throttled CI runners).
-pub const GATE_N_NODES: usize = 8;
-
-/// Compares a fresh measurement against the committed baseline.
-///
-/// Returns a human-readable verdict: `Ok` when the gated sample is within
-/// [`GATE_MAX_REGRESSION`] of the baseline (faster is always fine), `Err`
-/// when it regressed beyond the budget or either side lacks the gated
-/// cluster size.
-pub fn check_rounds_gate(
-    baseline: &[RoundsSample],
-    current: &[RoundsSample],
-) -> Result<String, String> {
-    let find = |samples: &[RoundsSample], what: &str| {
-        samples
-            .iter()
-            .find(|s| s.n_nodes == GATE_N_NODES)
-            .cloned()
-            .ok_or_else(|| format!("{what} has no n_nodes={GATE_N_NODES} sample"))
-    };
-    let base = find(baseline, "baseline")?;
-    let cur = find(current, "current run")?;
-    let floor = base.rounds_per_sec * (1.0 - GATE_MAX_REGRESSION);
-    let ratio = cur.rounds_per_sec / base.rounds_per_sec;
-    let verdict = format!(
-        "bench gate (N={GATE_N_NODES}): {:.0} rounds/sec vs baseline {:.0} \
-         ({:.0}% of baseline, floor {:.0})",
-        cur.rounds_per_sec,
-        base.rounds_per_sec,
-        ratio * 100.0,
-        floor
-    );
-    if cur.rounds_per_sec < floor {
-        Err(format!("{verdict} — REGRESSION beyond 25% budget"))
-    } else {
-        Ok(verdict)
-    }
-}
-
-/// Compares a fresh batched-campaign measurement against the committed
-/// baseline, like for like.
-///
-/// Returns `Ok` with a skip notice when the baseline has no batched
-/// sample, was measured with a different workload shape (cluster size,
-/// rounds, batch width or thread count), or on a different host
-/// ([`HostFingerprint`]: core count, CPU model, `target-cpu` — including
-/// a baseline from before fingerprints existed) — numbers from different
-/// shapes or machines must not gate each other. Otherwise applies the
-/// same [`GATE_MAX_REGRESSION`] budget as the rounds gate, and
-/// additionally fails if the current run's scalar cross-check failed.
-pub fn check_batched_gate(
-    baseline: Option<&BatchedSample>,
-    current: &BatchedSample,
-) -> Result<String, String> {
-    if !current.matches_scalar {
-        return Err(
-            "batched gate: current run diverged from the scalar protocol \
-             (matches_scalar=false)"
-                .to_string(),
-        );
-    }
-    let Some(base) = baseline else {
-        return Ok("batched gate: baseline has no batched sample — skipping".to_string());
-    };
-    let same_shape = (
-        base.n_nodes,
-        base.rounds_per_experiment,
-        base.batch_size,
-        base.threads,
-    ) == (
-        current.n_nodes,
-        current.rounds_per_experiment,
-        current.batch_size,
-        current.threads,
-    );
-    if !same_shape {
-        return Ok(format!(
-            "batched gate: baseline shape (N={}, {} rounds, batch {}, {} threads) differs from \
-             current (N={}, {} rounds, batch {}, {} threads) — not like-for-like, skipping",
-            base.n_nodes,
-            base.rounds_per_experiment,
-            base.batch_size,
-            base.threads,
-            current.n_nodes,
-            current.rounds_per_experiment,
-            current.batch_size,
-            current.threads,
-        ));
-    }
-    // The host fingerprint joins the shape: throughput measured on
-    // different silicon, with a different `target-cpu`, or on a host with
-    // a different core count is not comparable, and a baseline from
-    // before fingerprints existed has unknown provenance.
-    match (&base.host, &current.host) {
-        (Some(b), Some(c)) if b == c => {}
-        (Some(b), Some(c)) => {
-            return Ok(format!(
-                "batched gate: baseline host ({} cores, {:?}, {}) differs from current \
-                 ({} cores, {:?}, {}) — not like-for-like, skipping",
-                b.logical_cores,
-                b.cpu_model,
-                b.target_cpu,
-                c.logical_cores,
-                c.cpu_model,
-                c.target_cpu,
-            ));
-        }
-        _ => {
-            return Ok(
-                "batched gate: baseline or current run lacks a host fingerprint — \
-                 not like-for-like, skipping"
-                    .to_string(),
-            );
-        }
-    }
-    let floor = base.batched_experiments_per_sec * (1.0 - GATE_MAX_REGRESSION);
-    let ratio = current.batched_experiments_per_sec / base.batched_experiments_per_sec;
-    let verdict = format!(
-        "batched gate (N={}, batch {}, {} threads): {:.0} exp/sec vs baseline {:.0} \
-         ({:.0}% of baseline, floor {:.0})",
-        current.n_nodes,
-        current.batch_size,
-        current.threads,
-        current.batched_experiments_per_sec,
-        base.batched_experiments_per_sec,
-        ratio * 100.0,
-        floor
-    );
-    if current.batched_experiments_per_sec < floor {
-        Err(format!("{verdict} — REGRESSION beyond 25% budget"))
-    } else {
-        Ok(verdict)
-    }
-}
-
-/// Instrumented-vs-noop throughput of the full diagnostic protocol.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OverheadSample {
-    /// Cluster size.
-    pub n_nodes: usize,
-    /// Rounds each side ran (fixed, so the recording side's memory is
-    /// bounded and both sides do identical protocol work).
-    pub rounds: u64,
-    /// Rounds/sec with the default [`tt_sim::NoopSink`].
-    pub noop_rounds_per_sec: f64,
-    /// Rounds/sec with a live [`RecordingSink`] capturing every event.
-    pub recording_rounds_per_sec: f64,
-    /// `noop / recording` — how many times faster the uninstrumented path
-    /// is. ~1.0 means recording is free; the noop side must stay at 1.0 by
-    /// construction (that is what `tests/alloc_free.rs` pins down).
-    pub noop_over_recording: f64,
-    /// Events the recording side captured, as a sanity check that the
-    /// instrumentation was actually live.
-    pub recorded_events: u64,
-    /// Rounds/sec with a live [`RecordingTraceSink`] installed (provenance
-    /// tracing enabled on every phase of the pipeline).
-    pub tracing_rounds_per_sec: f64,
-    /// `noop / tracing` — the cost of enabling provenance tracing. On a
-    /// healthy cluster this is pure `enabled()` guards, so ~1.0.
-    pub noop_over_tracing: f64,
-    /// Spans the tracing side captured. A healthy cluster diagnoses no
-    /// faults, so this stays 0 — tracing is *silent*, not merely cheap,
-    /// in the steady state (span liveness is pinned down by
-    /// `tests/provenance_integration.rs`).
-    pub recorded_spans: u64,
-}
-
-fn diag_cluster(n: usize, config: &ProtocolConfig, sink: Option<Arc<dyn MetricsSink>>) -> Cluster {
-    let mut b = ClusterBuilder::new(n).trace_mode(TraceMode::Off);
-    if let Some(sink) = sink {
-        b = b.metrics_sink(sink);
-    }
-    b.build_with_jobs(
-        |id| Box::new(DiagJob::new(id, config.clone())),
-        Box::new(NoFaults),
-    )
-}
-
-fn timed_rounds(cluster: &mut Cluster, rounds: u64) -> f64 {
-    cluster.run_rounds(64); // warm the scratch buffers and history windows
-    let start = Instant::now();
-    cluster.run_rounds(rounds);
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Measures the overhead of live metrics collection on a healthy n-node
-/// diagnostic cluster: the same fixed number of rounds is driven once with
-/// the default noop sinks, once with a [`RecordingSink`] capturing every
-/// metrics event, and once with a [`RecordingTraceSink`] capturing every
-/// provenance span.
-pub fn measure_overhead(n: usize, rounds: u64) -> OverheadSample {
-    let config = ProtocolConfig::builder(n)
-        .penalty_threshold(197)
-        .reward_threshold(1_000_000)
-        .build()
-        .expect("valid protocol config");
-
-    let mut noop = diag_cluster(n, &config, None);
-    let noop_rounds_per_sec = timed_rounds(&mut noop, rounds);
-
-    let sink = Arc::new(RecordingSink::new());
-    let mut recording = diag_cluster(n, &config, Some(sink.clone()));
-    let recording_rounds_per_sec = timed_rounds(&mut recording, rounds);
-
-    let trace_sink = Arc::new(RecordingTraceSink::new());
-    let mut traced = ClusterBuilder::new(n)
-        .trace_mode(TraceMode::Off)
-        .trace_sink(trace_sink.clone())
-        .build_with_jobs(
-            |id| Box::new(DiagJob::new(id, config.clone())),
-            Box::new(NoFaults),
-        );
-    let tracing_rounds_per_sec = timed_rounds(&mut traced, rounds);
-
-    OverheadSample {
-        n_nodes: n,
-        rounds,
-        noop_rounds_per_sec,
-        recording_rounds_per_sec,
-        noop_over_recording: noop_rounds_per_sec / recording_rounds_per_sec,
-        recorded_events: sink.event_count() as u64,
-        tracing_rounds_per_sec,
-        noop_over_tracing: noop_rounds_per_sec / tracing_rounds_per_sec,
-        recorded_spans: trace_sink.span_count() as u64,
     }
 }
 
@@ -546,16 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_sample_measures_both_sides() {
-        let s = measure_overhead(4, 50);
-        assert!(s.noop_rounds_per_sec > 0.0);
-        assert!(s.recording_rounds_per_sec > 0.0);
-        assert!(s.recorded_events > 0, "recording side captured events");
-        assert!(s.tracing_rounds_per_sec > 0.0);
-        assert_eq!(s.recorded_spans, 0, "healthy cluster emits no spans");
-    }
-
-    #[test]
     fn lightning_report_is_deterministic_and_complete() {
         let a = lightning_metrics_report();
         let b = lightning_metrics_report();
@@ -576,156 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn rounds_gate_passes_within_budget_and_fails_beyond() {
-        let base = vec![RoundsSample {
-            n_nodes: GATE_N_NODES,
-            rounds_per_sec: 1000.0,
-        }];
-        let ok = |rps: f64| {
-            check_rounds_gate(
-                &base,
-                &[RoundsSample {
-                    n_nodes: GATE_N_NODES,
-                    rounds_per_sec: rps,
-                }],
-            )
-        };
-        assert!(ok(1000.0).is_ok());
-        assert!(ok(800.0).is_ok(), "within the 25% budget");
-        assert!(ok(1500.0).is_ok(), "faster is always fine");
-        assert!(ok(700.0).is_err(), "beyond the 25% budget");
-        assert!(check_rounds_gate(&[], &base).is_err(), "missing baseline");
-    }
-
-    #[test]
-    fn baseline_parses_committed_report_shape() {
-        let json = r#"{
-            "rounds": [
-                {"n_nodes": 4, "rounds_per_sec": 90000.0},
-                {"n_nodes": 8, "rounds_per_sec": 45000.0}
-            ],
-            "campaign": {"classes": 8, "reps": 1}
-        }"#;
-        let base: ThroughputBaseline = serde_json::from_str(json).unwrap();
-        assert_eq!(base.rounds.len(), 2);
-        assert!(base.batched.is_none(), "pre-lockstep baselines still parse");
-        assert!(check_rounds_gate(&base.rounds, &base.rounds).is_ok());
-    }
-
-    fn test_host() -> HostFingerprint {
-        HostFingerprint {
-            logical_cores: 8,
-            cpu_model: "Test CPU 3000".into(),
-            target_cpu: "x86_64[avx2]".into(),
-        }
-    }
-
-    fn batched_sample(eps: f64) -> BatchedSample {
-        BatchedSample {
-            n_nodes: GATE_N_NODES,
-            rounds_per_experiment: 24,
-            experiments: 4096,
-            batch_size: 256,
-            threads: 1,
-            iterations: 8,
-            batched_experiments_per_sec: eps,
-            pooled_experiments_per_sec: eps / 5.0,
-            batched_over_pooled: 5.0,
-            matches_scalar: true,
-            host: Some(test_host()),
-        }
-    }
-
-    #[test]
-    fn batched_gate_passes_within_budget_and_fails_beyond() {
-        let base = batched_sample(100_000.0);
-        let gate = |eps: f64| check_batched_gate(Some(&base), &batched_sample(eps));
-        assert!(gate(100_000.0).is_ok());
-        assert!(gate(80_000.0).is_ok(), "within the 25% budget");
-        assert!(gate(150_000.0).is_ok(), "faster is always fine");
-        assert!(gate(70_000.0).is_err(), "beyond the 25% budget");
-    }
-
-    #[test]
-    fn batched_gate_skips_unless_like_for_like() {
-        let base = batched_sample(100_000.0);
-        let current = batched_sample(10.0); // would fail if compared
-        let verdict = check_batched_gate(None, &current).unwrap();
-        assert!(verdict.contains("skipping"), "{verdict}");
-        for reshape in [
-            |s: &mut BatchedSample| s.n_nodes += 1,
-            |s: &mut BatchedSample| s.rounds_per_experiment += 1,
-            |s: &mut BatchedSample| s.batch_size *= 2,
-            |s: &mut BatchedSample| s.threads += 1,
-        ] {
-            let mut moved = base.clone();
-            reshape(&mut moved);
-            let verdict = check_batched_gate(Some(&moved), &current).unwrap();
-            assert!(verdict.contains("not like-for-like"), "{verdict}");
-        }
-        // Experiment count and iterations scale the measurement, not the
-        // per-experiment shape — they do not break comparability.
-        let mut longer = base.clone();
-        longer.experiments *= 4;
-        longer.iterations += 1;
-        assert!(check_batched_gate(Some(&longer), &batched_sample(90_000.0)).is_ok());
-    }
-
-    #[test]
-    fn batched_gate_skips_across_hosts() {
-        let base = batched_sample(100_000.0);
-        let current = batched_sample(10.0); // would fail if compared
-        for rehost in [
-            |h: &mut HostFingerprint| h.logical_cores = 1,
-            |h: &mut HostFingerprint| h.cpu_model = "Other CPU".into(),
-            |h: &mut HostFingerprint| h.target_cpu = "x86_64".into(),
-        ] {
-            let mut moved = base.clone();
-            rehost(moved.host.as_mut().unwrap());
-            let verdict = check_batched_gate(Some(&moved), &current).unwrap();
-            assert!(verdict.contains("host"), "{verdict}");
-            assert!(verdict.contains("skipping"), "{verdict}");
-        }
-        // A baseline from before fingerprints existed has unknown
-        // provenance — skip rather than gate.
-        let mut legacy = base.clone();
-        legacy.host = None;
-        let verdict = check_batched_gate(Some(&legacy), &current).unwrap();
-        assert!(verdict.contains("fingerprint"), "{verdict}");
-        // Same host on both sides compares (and here, fails on merit).
-        assert!(check_batched_gate(Some(&base), &current).is_err());
-    }
-
-    #[test]
-    fn batched_sample_parses_with_and_without_host() {
-        let with = serde_json::to_string(&batched_sample(1_000.0)).unwrap();
-        let parsed: BatchedSample = serde_json::from_str(&with).unwrap();
-        assert_eq!(parsed.host, Some(test_host()));
-        // A baseline committed before the `host` field existed.
-        let legacy = r#"{
-            "n_nodes": 8, "rounds_per_experiment": 24, "experiments": 4096,
-            "batch_size": 256, "threads": 1, "iterations": 8,
-            "batched_experiments_per_sec": 100000.0,
-            "pooled_experiments_per_sec": 20000.0,
-            "batched_over_pooled": 5.0, "matches_scalar": true
-        }"#;
-        let parsed: BatchedSample = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed.host, None);
-    }
-
-    #[test]
     fn host_fingerprint_detects_this_machine() {
         let h = HostFingerprint::detect();
         assert!(h.logical_cores >= 1);
         assert!(!h.cpu_model.is_empty());
         assert!(h.target_cpu.contains(std::env::consts::ARCH));
         assert_eq!(h, HostFingerprint::detect(), "detection is stable");
-    }
-
-    #[test]
-    fn batched_gate_rejects_scalar_divergence_outright() {
-        let mut current = batched_sample(1_000_000.0);
-        current.matches_scalar = false;
-        assert!(check_batched_gate(None, &current).is_err());
     }
 }

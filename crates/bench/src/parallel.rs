@@ -1,13 +1,9 @@
 //! Parallel campaign execution on a persistent, lock-free worker pool.
 //!
 //! Each experiment is an independent, seeded simulation, so campaigns
-//! parallelize embarrassingly. Earlier revisions spawned a fresh scoped
-//! thread pool per campaign and funnelled every result through a
-//! `Mutex<Vec<Option<_>>>`; sweeps that issue many campaigns back to back
-//! (sensitivity analyses, tuning sweeps, the validation matrix) paid the
-//! spawn/join cost and the lock traffic on every call.
-//!
-//! [`CampaignExecutor`] keeps its worker threads alive across campaigns.
+//! parallelize embarrassingly. [`CampaignExecutor`] keeps its worker
+//! threads alive across campaigns, so sweeps that issue many campaigns
+//! back to back do not pay a thread spawn/join per call.
 //! Work distribution is chunked and lock-free: workers claim contiguous
 //! chunks of the deterministic work list with a single `fetch_add` on an
 //! atomic cursor, run each chunk's experiments into a chunk-local `Vec`,
@@ -255,54 +251,6 @@ pub fn run_parallel_campaign(
     shared_executor(threads.max(1)).run(classes, n, reps, base_seed)
 }
 
-/// The pre-pool runner, retained as the measured baseline for
-/// `tt-bench throughput`: scoped threads spawned per campaign, every
-/// result written behind one mutex.
-pub fn run_parallel_campaign_legacy(
-    classes: &[ExperimentClass],
-    n: usize,
-    reps: u64,
-    base_seed: u64,
-    threads: usize,
-) -> CampaignResult {
-    let work: Vec<(usize, ExperimentClass, u64)> = classes
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, &class)| {
-            (0..reps).map(move |rep| {
-                (
-                    ci * reps as usize + rep as usize,
-                    class,
-                    experiment_seed(base_seed, ci, rep),
-                )
-            })
-        })
-        .collect();
-    let outcomes: Mutex<Vec<Option<ExperimentOutcome>>> = Mutex::new(vec![None; work.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = threads.max(1).min(work.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slot, class, seed)) = work.get(i) else {
-                    break;
-                };
-                let outcome = run_experiment(class, n, seed);
-                outcomes.lock().expect("result mutex poisoned")[slot] = Some(outcome);
-            });
-        }
-    });
-    CampaignResult {
-        outcomes: outcomes
-            .into_inner()
-            .expect("result mutex poisoned")
-            .into_iter()
-            .map(|o| o.expect("all work items completed"))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,8 +273,6 @@ mod tests {
             let par = run_parallel_campaign(&classes, 4, 5, 42, threads);
             assert_eq!(seq.outcomes, par.outcomes, "{threads} threads");
             assert!(par.all_passed());
-            let legacy = run_parallel_campaign_legacy(&classes, 4, 5, 42, threads);
-            assert_eq!(seq.outcomes, legacy.outcomes, "{threads} threads (legacy)");
         }
     }
 
@@ -341,7 +287,6 @@ mod tests {
     fn empty_classes_and_zero_reps() {
         assert_eq!(run_parallel_campaign(&[], 4, 3, 7, 4).total(), 0);
         assert_eq!(run_parallel_campaign(&[burst(1, 0)], 4, 0, 7, 4).total(), 0);
-        assert_eq!(run_parallel_campaign_legacy(&[], 4, 3, 7, 4).total(), 0);
     }
 
     #[test]

@@ -380,23 +380,6 @@ impl BatchDiagJob {
     pub fn fingerprints(&self, lane: usize) -> &[u64] {
         &self.fps[lane]
     }
-
-    /// Folds `lane`'s fingerprints into a single digest (FNV-1a over the
-    /// little-endian fingerprint words).
-    pub fn digest(&self, lane: usize) -> u64 {
-        digest_fingerprints(&self.fps[lane])
-    }
-}
-
-/// Folds a fingerprint stream into one digest word (FNV-1a over the
-/// little-endian `u64`s) — the per-experiment outcome the batched campaign
-/// records and compares against the scalar path.
-pub fn digest_fingerprints(fps: &[u64]) -> u64 {
-    let mut h = Fnv1a64::new();
-    for fp in fps {
-        h.write(&fp.to_le_bytes());
-    }
-    h.finish()
 }
 
 impl LockstepJob for BatchDiagJob {
@@ -899,11 +882,6 @@ mod tests {
         assert_eq!(a[1], b[2], "duplicate plans agree");
         assert_ne!(a[0], a[1], "the fault changes the state trajectory");
         assert_eq!(a[0].len(), 13, "one fingerprint per diagnosed round");
-        assert_eq!(
-            digest_fingerprints(&a[0]),
-            digest_fingerprints(&b[1]),
-            "digests fold the same stream"
-        );
     }
 
     #[test]

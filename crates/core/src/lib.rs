@@ -76,7 +76,7 @@ pub mod protocol;
 pub mod syndrome;
 pub mod voting;
 
-pub use batch::{digest_fingerprints, BatchDiagJob, BatchLaneParams};
+pub use batch::{BatchDiagJob, BatchLaneParams};
 pub use config::{ProtocolConfig, ProtocolConfigBuilder};
 pub use error::ProtocolError;
 pub use matrix::DiagnosticMatrix;

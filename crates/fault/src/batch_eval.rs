@@ -4,11 +4,10 @@
 //! of one [`tt_sim::BatchCluster`] driven by a [`tt_core::BatchDiagJob`]
 //! and returns each schedule's protocol-state fingerprint stream — the
 //! same stream [`execute_schedule`](crate::explore::execute_schedule)
-//! derives from a scalar run, byte for byte. The explorer's
-//! generation-at-a-time mode ([`crate::explore::Explorer::step_generation`])
-//! uses it to triage candidate mutations by novelty before spending scalar
-//! executions (with their full oracle stack) on the interesting ones, and
-//! the batched campaign uses the same conversion for its lockstep workers.
+//! derives from a scalar run, byte for byte: CI's batched corpus replay and
+//! `tests/batch_equivalence.rs` compare the two, which checks the
+//! schedule-to-lane conversion ([`lane_plan`], [`lane_params`]) that the
+//! Sec. 9 sweep's [`crate::sampled::observe_schedules_batched`] runs on.
 //!
 //! Schedules may differ in round budget and Alg. 2 thresholds (those are
 //! per-lane); schedules of different cluster sizes are grouped into one
@@ -93,9 +92,8 @@ fn decode_mask(payload: u8, n: usize) -> u64 {
 /// and rejects schedules targeting a protocol variant other than
 /// [`ProtocolUnderTest::Diag`](crate::explore::ProtocolUnderTest) — the
 /// lockstep engine models `DiagJob` lanes only, and silently producing
-/// diag fingerprints for a membership or lowlat schedule would corrupt
-/// the explorer's novelty triage (the explorer itself falls back to the
-/// scalar path for non-diag generations).
+/// diag fingerprints for a membership or lowlat schedule would pass off a
+/// different protocol's state stream as the scalar one.
 pub fn execute_schedules_batched(schedules: &[FaultSchedule]) -> Result<Vec<Vec<u64>>, SimError> {
     use crate::explore::ProtocolUnderTest;
     if let Some(s) = schedules

@@ -866,68 +866,6 @@ impl Explorer {
         true
     }
 
-    /// Evaluates a whole generation of candidate schedules through the
-    /// lockstep engine ([`crate::batch_eval::execute_schedules_batched`])
-    /// and spends scalar executions — with the full oracle stack — only on
-    /// the candidates whose batched fingerprints reached a state the
-    /// session has not seen. Returns `false` once the budget is spent.
-    ///
-    /// Two deliberate differences from calling [`Explorer::step`] in a
-    /// loop, both consequences of generation-at-a-time evaluation:
-    ///
-    /// * the whole generation is drawn against one frontier/coverage
-    ///   snapshot (candidates cannot build on siblings of the same
-    ///   generation), so the exploration trajectory differs from the
-    ///   sequential mode's — the coverage is equally valid, just a
-    ///   different deterministic walk;
-    /// * candidates whose every fingerprint is already known are *not*
-    ///   oracle-checked (that is the point: novelty triage at batch
-    ///   throughput). A violation on an already-covered trajectory would
-    ///   have tripped the oracles when that coverage was first discovered.
-    ///
-    /// Every novel candidate's scalar re-execution asserts the batched
-    /// lanes reproduced the scalar fingerprint stream exactly, so the
-    /// triage can never silently diverge from ground truth.
-    pub fn step_generation(&mut self, generation: usize, extra: ExtraOracle<'_>) -> bool {
-        if self.done() {
-            return false;
-        }
-        let budget_left = (self.cfg.budget - self.report.executed) as usize;
-        let take = generation.clamp(1, budget_left);
-        let candidates: Vec<FaultSchedule> = (0..take).map(|_| self.draw_schedule()).collect();
-        self.report.executed += take as u64;
-        // The lockstep engine simulates `DiagJob` lanes only; a generation
-        // containing membership or lowlat schedules (from the config or a
-        // mixed seed corpus) is evaluated scalar, one schedule at a time,
-        // with the same absorb semantics.
-        if candidates
-            .iter()
-            .any(|s| s.protocol != ProtocolUnderTest::Diag)
-        {
-            for schedule in candidates {
-                let exec = execute_schedule_with_oracle(&schedule, extra);
-                self.absorb(schedule, &exec, extra);
-            }
-            self.report.unique_states = self.seen.len() as u64;
-            return true;
-        }
-        let batched = crate::batch_eval::execute_schedules_batched(&candidates)
-            .expect("explorer schedules are engine-valid");
-        for (schedule, lane_fps) in candidates.into_iter().zip(batched) {
-            if lane_fps.iter().all(|fp| self.seen.contains(fp)) {
-                continue;
-            }
-            let exec = execute_schedule_with_oracle(&schedule, extra);
-            assert_eq!(
-                exec.fingerprints, lane_fps,
-                "lockstep lane diverged from the scalar protocol"
-            );
-            self.absorb(schedule, &exec, extra);
-        }
-        self.report.unique_states = self.seen.len() as u64;
-        true
-    }
-
     /// Consumes the session and returns the final report.
     pub fn into_report(mut self) -> ExploreReport {
         self.report.unique_states = self.seen.len() as u64;
@@ -1476,37 +1414,6 @@ mod tests {
         assert_eq!(a.executed, 25);
         assert!(a.unique_states > 0);
         assert!(a.counterexamples.is_empty(), "{:?}", a.counterexamples);
-    }
-
-    #[test]
-    fn generation_stepping_is_deterministic_and_covers_states() {
-        let cfg = ExploreConfig {
-            budget: 40,
-            ..cfg()
-        };
-        let run = || {
-            let mut session = Explorer::new(&cfg, &[]);
-            while session.step_generation(16, &no_extra_oracle) {}
-            session.into_report()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.executed, 40, "budget fully spent in generations");
-        assert!(a.unique_states > 0);
-        assert!(a.counterexamples.is_empty(), "{:?}", a.counterexamples);
-        assert!(!a.corpus.is_empty(), "novel schedules reached the corpus");
-    }
-
-    #[test]
-    fn generation_stepping_respects_the_budget_tail() {
-        let cfg = ExploreConfig { budget: 5, ..cfg() };
-        let mut session = Explorer::new(&cfg, &[]);
-        assert!(session.step_generation(3, &no_extra_oracle));
-        assert_eq!(session.executed(), 3);
-        assert!(session.step_generation(16, &no_extra_oracle), "clamps to 2");
-        assert_eq!(session.executed(), 5);
-        assert!(!session.step_generation(16, &no_extra_oracle));
     }
 
     #[test]

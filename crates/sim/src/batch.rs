@@ -18,10 +18,10 @@
 //! protocol lives in `tt-core` and drives this state machine.
 //!
 //! Divergent lanes are handled with a per-lane *live* mask: a retired lane
-//! (its experiment ran out of rounds, or a supervisor quarantined it) keeps
-//! its state frozen bit-for-bit while the remaining lanes continue — the
-//! masked updates multiply every write by the lane's live flag instead of
-//! branching.
+//! (its experiment ran out of rounds, or the caller retired it with
+//! [`BatchCluster::retire_lane`]) keeps its state frozen bit-for-bit while
+//! the remaining lanes continue — the masked updates multiply every write
+//! by the lane's live flag instead of branching.
 //!
 //! Scalar-only paths: provenance tracing, metrics sinks and per-cluster
 //! `Bytes` payloads are deliberately **not** reproduced here — batched mode

@@ -9,8 +9,9 @@
 //! Two layers of the stack are exercised:
 //!
 //! * the fault-crate conversion path ([`seeded_schedule`] →
-//!   [`execute_schedules_batched`] vs [`execute_schedule`]), which is the
-//!   one the explorer and the batched campaign actually run; and
+//!   [`execute_schedules_batched`] vs [`execute_schedule`]), whose lane
+//!   conversion `ttdiag tune sweep` runs through `observe_schedules_batched`;
+//!   and
 //! * the raw engine ([`BatchCluster`] + [`BatchDiagJob::with_recording`])
 //!   against a hand-driven scalar fault pipeline, comparing full protocol
 //!   state rather than just its fingerprint stream.
