@@ -778,8 +778,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown explore flag {other:?}")),
                 }
             }
-            if nodes < 4 {
-                return err("explore needs at least 4 nodes");
+            // Every variant packs one bit per node into a syndrome word.
+            let max_nodes = tt_core::syndrome::MAX_SYNDROME_NODES;
+            if !(4..=max_nodes).contains(&nodes) {
+                return err(format!("explore needs 4..={max_nodes} nodes, got {nodes}"));
             }
             if budget == 0 {
                 return err("explore budget must be positive");
@@ -1897,6 +1899,8 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&args("explore --nodes 3")).is_err());
+        assert!(parse(&args("explore --nodes 64")).is_ok());
+        assert!(parse(&args("explore --nodes 65")).is_err());
         assert!(parse(&args("explore --budget 0")).is_err());
         assert!(parse(&args("explore --warp 9")).is_err());
         assert!(parse(&args("explore --protocol lowlat")).is_ok());

@@ -78,6 +78,31 @@ fn out_of_range_tune_sweep_cluster_is_a_usage_error() {
 }
 
 #[test]
+fn out_of_range_explore_cluster_is_a_usage_error() {
+    // Every variant packs one bit per node into a 64-bit syndrome: a
+    // larger cluster is refused by the parser, not a panic mid-session.
+    for protocol in ["diag", "membership", "lowlat"] {
+        for nodes in ["3", "65"] {
+            let out = ttdiag()
+                .args(["explore", "--protocol", protocol, "--nodes", nodes])
+                .args(["--budget", "1"])
+                .output()
+                .expect("spawn ttdiag");
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{protocol} --nodes {nodes}: {out:?}"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("4..=64 nodes"),
+                "{protocol} --nodes {nodes}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn tiny_tune_sweep_exits_zero() {
     let out = ttdiag()
         .args([

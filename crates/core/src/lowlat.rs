@@ -14,23 +14,29 @@
 //! Because this variant lives below the application (in the communication
 //! controller / system layer), it is modelled here with its own
 //! slot-granular driver ([`LowLatCluster`]) that reuses the simulator's bus
-//! semantics ([`tt_sim::apply_effect`]) rather than the once-per-round job
-//! model.
+//! semantics ([`tt_sim::apply_effect_into`]) rather than the once-per-round
+//! job model.
 //!
-//! Frame format: each message carries `2N` bits — the **window** (opinions
-//! on the `N` slots preceding the sending slot) and the **accusation
-//! vector** (minority accusations derived from recently completed
-//! verdicts), giving the 2-round membership composition.
-
-use std::collections::BTreeMap;
+//! Frame format: each message carries `2N` bits in `2·⌈N/8⌉` bytes — the
+//! **window** (opinions on the `N` slots preceding the sending slot), then
+//! the **accusation vector** (minority accusations derived from recently
+//! completed verdicts), each packed like a [`Syndrome`] with bit 0 =
+//! faulty / accused — giving the 2-round membership composition.
+//!
+//! Each node's state is sized from `N` when the cluster is built: rings of
+//! the last `N + 1` slots' observations and vote tables, and accusations as
+//! bit masks, so clusters are bounded by the 64-bit mask width.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use tt_sim::{apply_effect, FaultPipeline, NodeId, Reception, RoundIndex, TxCtx};
+use tt_sim::{
+    apply_effect_into, FaultPipeline, NodeId, Reception, RoundIndex, SlotFaultClass, SlotOutcome,
+    TxCtx,
+};
 
-use crate::syndrome::Syndrome;
-use crate::voting::{h_maj, HMaj};
+use crate::syndrome::{Syndrome, MAX_SYNDROME_NODES};
+use crate::voting::{h_maj_counts, HMaj};
 
 /// A per-slot diagnosis produced by the low-latency variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,45 +60,59 @@ impl SlotVerdict {
     }
 }
 
-/// A vote on a diagnosed slot as reconstructed at one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Vote {
-    /// Not yet received (should not remain by decision time).
-    Pending,
-    /// The carrying frame was locally detected faulty: ε.
-    Eps,
-    /// A received opinion: `true` = slot looked correct.
-    Opinion(bool),
+/// The votes on one diagnosed slot as reconstructed at one node: bit `j`
+/// of `ok` (`faulty`) is set once node `j`'s opinion on the slot arrived
+/// saying correct (faulty). Neither bit set means ε: the frame carrying
+/// the opinion was locally detected faulty (or, before decision time, has
+/// not arrived yet).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct VoteTable {
+    ok: u64,
+    faulty: u64,
 }
 
-impl Vote {
-    fn as_option(self) -> Option<bool> {
-        match self {
-            Vote::Opinion(v) => Some(v),
-            _ => None,
-        }
-    }
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The mask of an `n`-node cluster: one bit per node.
+fn all_nodes(n: usize) -> u64 {
+    u64::MAX >> (64 - n)
 }
 
 /// The per-node state of the low-latency protocol.
+///
+/// Every buffer is sized from `N` at construction: slot `a`'s observation
+/// and vote table live at `a % (N + 1)` of their rings (the `N` slots
+/// awaiting diagnosis plus the current one), and accusations are masks, so
+/// receiving a slot allocates nothing. Only a built frame's `Bytes`, the
+/// verdict log and the view log allocate.
 #[derive(Debug, Clone)]
 struct LowLatNode {
     index: usize,
     n: usize,
-    /// Own local observations of recent slots, keyed by absolute slot.
-    own_obs: BTreeMap<u64, bool>,
-    /// Vote tables for slots awaiting diagnosis: `votes[j]` = opinion of
-    /// node `j` on the diagnosed slot.
-    pending: BTreeMap<u64, Vec<Vote>>,
-    /// Latest accusation vector received from each node, with the absolute
-    /// slot of the carrying frame (ε if that frame was invalid).
-    last_acc: Vec<Option<(u64, Option<Vec<bool>>)>>,
-    /// Own outstanding accusations: accused index → expiry (absolute slot).
-    own_acc: BTreeMap<usize, u64>,
-    /// Completed verdicts, in decision order.
+    /// Own local observations of the last `N + 1` slots.
+    observed: Vec<bool>,
+    /// Vote tables of the last `N + 1` slots.
+    votes: Vec<VoteTable>,
+    /// Per sender: the absolute slot of its latest frame, and that frame's
+    /// accusations (bit `x` set = node `x` accused), or `None` (ε) when the
+    /// frame was locally detected faulty.
+    last_acc: Vec<Option<(u64, Option<u64>)>>,
+    /// Own accusations: node `x` is accused in every frame this node builds
+    /// before slot `acc_until[x]` (0 = never accused).
+    acc_until: Vec<u64>,
+    /// Completed verdicts, in strictly increasing slot order.
     verdicts: Vec<SlotVerdict>,
-    /// Membership: `true` while the node has never been excluded.
-    in_view: Vec<bool>,
+    /// Membership: bit `x` set while node `x` has never been excluded.
+    in_view: u64,
     /// View history: (installed at absolute slot, surviving members).
     view_log: Vec<(u64, Vec<NodeId>)>,
     membership: bool,
@@ -103,122 +123,128 @@ impl LowLatNode {
         LowLatNode {
             index,
             n,
-            own_obs: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            observed: vec![true; n + 1],
+            votes: vec![VoteTable::default(); n + 1],
             last_acc: vec![None; n],
-            own_acc: BTreeMap::new(),
+            acc_until: vec![0; n],
             verdicts: Vec::new(),
-            in_view: vec![true; n],
+            in_view: all_nodes(n),
             view_log: Vec::new(),
             membership,
         }
     }
 
-    /// Builds the payload for this node's own sending slot at `abs`:
-    /// window (opinions on slots `abs-N .. abs-1`) + accusation vector.
-    fn build_frame(&self, abs: u64) -> Bytes {
-        let window: Vec<bool> = (0..self.n as u64)
-            .map(|t| {
-                let slot = abs as i64 - self.n as i64 + t as i64;
-                if slot < 0 {
-                    true // before the start of time: vacuously correct
-                } else {
-                    *self.own_obs.get(&(slot as u64)).unwrap_or(&true)
-                }
-            })
-            .collect();
-        let acc: Vec<bool> = (0..self.n)
-            .map(|x| !self.own_acc.contains_key(&x)) // bit 0 = accused
-            .collect();
-        let mut bytes = Syndrome::from_bits(window).encode().to_vec();
-        bytes.extend_from_slice(&Syndrome::from_bits(acc).encode());
-        Bytes::from(bytes)
+    /// The ring position of absolute slot `a`.
+    fn ring(&self, a: u64) -> usize {
+        (a % (self.n as u64 + 1)) as usize
     }
 
-    /// Splits a received frame into (window, accusations).
-    fn decode_frame(&self, payload: &[u8]) -> (Syndrome, Vec<bool>) {
+    /// Builds the payload for this node's own sending slot at `abs`:
+    /// window (opinions on slots `abs-N .. abs-1`) + accusation vector,
+    /// each packed like a [`Syndrome`] (`⌈N/8⌉` bytes, bit 0 = faulty /
+    /// accused).
+    fn build_frame(&self, abs: u64) -> Bytes {
+        let n = self.n as u64;
+        let mut window = 0u64;
+        for t in 0..n {
+            // Before the start of time a slot is vacuously correct.
+            let ok = (abs + t)
+                .checked_sub(n)
+                .is_none_or(|slot| self.observed[self.ring(slot)]);
+            window |= u64::from(ok) << t;
+        }
+        let mut unaccused = 0u64;
+        for (x, &until) in self.acc_until.iter().enumerate() {
+            unaccused |= u64::from(abs >= until) << x;
+        }
         let w_len = self.n.div_ceil(8);
-        let window = Syndrome::decode(payload, self.n);
+        let mut frame = [0u8; 2 * MAX_SYNDROME_NODES / 8];
+        for i in 0..w_len {
+            frame[i] = (window >> (8 * i)) as u8;
+            frame[w_len + i] = (unaccused >> (8 * i)) as u8;
+        }
+        Bytes::copy_from_slice(&frame[..2 * w_len])
+    }
+
+    /// Splits a received frame into (window, accused) masks. Decoding is
+    /// total, like [`Syndrome::decode`]: missing bytes read as zeros.
+    fn decode_frame(&self, payload: &[u8]) -> (u64, u64) {
+        let w_len = self.n.div_ceil(8);
+        let window = Syndrome::decode(payload, self.n).bits();
         let acc_bytes = payload.get(w_len..).unwrap_or(&[]);
-        let acc = Syndrome::decode(acc_bytes, self.n);
-        // Accusation bit semantics: 0 = accused (like syndromes).
-        (window, (0..self.n).map(|x| !acc.get(x)).collect())
+        let unaccused = Syndrome::decode(acc_bytes, self.n).bits();
+        (window, !unaccused & all_nodes(self.n))
     }
 
     /// Processes the delivery of slot `abs` (sender index `s`).
     /// `validity` is this node's local view (collision detector for its own
     /// slot); `payload` is present iff the frame passed local detection.
-    fn on_slot(&mut self, abs: u64, s: usize, validity: bool, payload: Option<&Bytes>) {
-        // 1. Record the local observation (our own future window/vote).
-        self.own_obs.insert(abs, validity);
-        // 2. Our own vote on this slot.
-        self.pending
-            .entry(abs)
-            .or_insert_with(|| vec![Vote::Pending; self.n])[self.index] = Vote::Opinion(validity);
-        // 3. Extract the sender's window votes and accusation vector.
+    fn on_slot(&mut self, abs: u64, s: usize, validity: bool, payload: Option<&[u8]>) {
+        let n = self.n as u64;
+        let slot = self.ring(abs);
+        // 1. Record the local observation (our own future window) and, in
+        //    the table the ring slot now holds, our own vote on this slot.
+        self.observed[slot] = validity;
+        let own = 1u64 << self.index;
+        self.votes[slot] = if validity {
+            VoteTable { ok: own, faulty: 0 }
+        } else {
+            VoteTable { ok: 0, faulty: own }
+        };
+        // 2. Extract the sender's window votes and accusation vector. An ε
+        //    frame leaves the sender's bits clear in every covered table.
         match payload {
             Some(p) => {
-                let (window, acc) = self.decode_frame(p);
-                for t in 0..self.n as u64 {
-                    let covered = abs as i64 - self.n as i64 + t as i64;
-                    if covered >= 0 {
-                        let entry = self
-                            .pending
-                            .entry(covered as u64)
-                            .or_insert_with(|| vec![Vote::Pending; self.n]);
-                        // Keep our own locally recorded opinion authoritative.
-                        if s != self.index {
-                            entry[s] = Vote::Opinion(window.get(t as usize));
+                let (window, accused) = self.decode_frame(p);
+                // Keep our own locally recorded opinion authoritative.
+                if s != self.index {
+                    let voter = 1u64 << s;
+                    for t in 0..n {
+                        if let Some(covered) = (abs + t).checked_sub(n) {
+                            let i = self.ring(covered);
+                            let table = &mut self.votes[i];
+                            if window >> t & 1 == 1 {
+                                table.ok |= voter;
+                            } else {
+                                table.faulty |= voter;
+                            }
                         }
                     }
                 }
-                self.last_acc[s] = Some((abs, Some(acc)));
+                self.last_acc[s] = Some((abs, Some(accused)));
             }
-            None => {
-                for t in 0..self.n as u64 {
-                    let covered = abs as i64 - self.n as i64 + t as i64;
-                    if covered >= 0 && s != self.index {
-                        self.pending
-                            .entry(covered as u64)
-                            .or_insert_with(|| vec![Vote::Pending; self.n])[s] = Vote::Eps;
-                    }
-                }
-                self.last_acc[s] = Some((abs, None));
-            }
+            None => self.last_acc[s] = Some((abs, None)),
         }
-        // 4. One full round after a slot, every opinion on it has arrived:
+        // 3. One full round after a slot, every opinion on it has arrived:
         //    decide it.
-        if abs >= self.n as u64 {
-            self.decide(abs - self.n as u64, abs);
+        if let Some(diagnosed) = abs.checked_sub(n) {
+            self.decide(diagnosed, abs);
         }
-        // 5. Membership: evaluate accusation majorities.
+        // 4. Membership: evaluate accusation majorities.
         if self.membership {
             self.evaluate_accusations(abs);
         }
-        // 6. Expire stale state.
-        self.own_acc.retain(|_, &mut exp| exp > abs);
-        let horizon = abs.saturating_sub(3 * self.n as u64);
-        self.own_obs.retain(|&a, _| a >= horizon);
     }
 
     /// Analysis for diagnosed slot `a`, executed right after slot `now`.
     fn decide(&mut self, a: u64, now: u64) {
-        let Some(votes) = self.pending.remove(&a) else {
-            return;
-        };
-        let sender = (a % self.n as u64) as usize;
-        let electorate = votes
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != sender)
-            .map(|(_, v)| v.as_option());
-        let healthy = match h_maj(electorate) {
+        let n = self.n as u64;
+        assert!(
+            self.verdicts.last().is_none_or(|v| v.abs_slot < a),
+            "slot {a} decided out of order"
+        );
+        let table = self.votes[self.ring(a)];
+        let sender = (a % n) as usize;
+        let electorate = !(1u64 << sender);
+        let ok = u64::from((table.ok & electorate).count_ones());
+        let faulty = u64::from((table.faulty & electorate).count_ones());
+        let healthy = match h_maj_counts(ok, faulty) {
             HMaj::Decided(v) => v,
             HMaj::Undecidable => {
                 // Blackout fallback: self-diagnosis via the collision
                 // detector observation; others default to healthy.
                 if sender == self.index {
-                    *self.own_obs.get(&a).unwrap_or(&true)
+                    self.observed[self.ring(a)]
                 } else {
                     true
                 }
@@ -226,63 +252,59 @@ impl LowLatNode {
         };
         self.verdicts.push(SlotVerdict {
             abs_slot: a,
-            round: RoundIndex::new(a / self.n as u64),
+            round: RoundIndex::new(a / n),
             sender: NodeId::from_slot(sender),
             healthy,
             decided_at_slot: now,
         });
         if self.membership {
-            if !healthy && self.in_view[sender] {
+            if !healthy && self.in_view & (1 << sender) != 0 {
                 self.exclude(sender, now);
             }
             // Minority accusations: any node whose (non-ε) vote disagreed
-            // with the verdict diverges from the agreed state.
-            for (j, v) in votes.iter().enumerate() {
-                if j == self.index || j == sender {
-                    continue;
-                }
-                if let Vote::Opinion(op) = v {
-                    if *op != healthy {
-                        // Carry the accusation long enough to be seen in
-                        // our next frame by everyone (two rounds).
-                        self.own_acc.insert(j, now + 2 * self.n as u64);
-                    }
-                }
+            // with the verdict diverges from the agreed state. Carry the
+            // accusation long enough to be seen in our next frame by
+            // everyone: in every frame of the next two rounds.
+            let dissent = if healthy { table.faulty } else { table.ok };
+            for x in bits(dissent & electorate & !(1 << self.index)) {
+                self.acc_until[x] = now + 2 * n + 1;
             }
         }
     }
 
     /// Excludes a node from the local view and logs the new view.
     fn exclude(&mut self, x: usize, now: u64) {
-        self.in_view[x] = false;
-        let members = self
-            .in_view
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| NodeId::from_slot(i))
-            .collect();
+        self.in_view &= !(1 << x);
+        let members = bits(self.in_view).map(NodeId::from_slot).collect();
         self.view_log.push((now, members));
     }
 
     /// Votes accusation vectors: a member accused by the hybrid majority of
     /// the other nodes' freshest frames is excluded.
     fn evaluate_accusations(&mut self, now: u64) {
-        for x in 0..self.n {
-            if !self.in_view[x] {
-                continue;
+        let n = self.n as u64;
+        // The senders whose frame of the last round passed detection vote;
+        // only a member one of them accuses can lose the vote.
+        let mut voters = 0u64;
+        let mut accused = 0u64;
+        for (j, last) in self.last_acc.iter().enumerate() {
+            if let Some((at, Some(acc))) = *last {
+                if now - at < n {
+                    voters |= 1 << j;
+                    accused |= acc;
+                }
             }
-            let votes: Vec<Option<bool>> = (0..self.n)
-                .filter(|&j| j != x)
-                .map(|j| match &self.last_acc[j] {
-                    Some((abs, Some(acc))) if now.saturating_sub(*abs) < self.n as u64 => {
-                        Some(!acc[x]) // vote `false` = accused
-                    }
-                    Some((abs, None)) if now.saturating_sub(*abs) < self.n as u64 => None,
-                    _ => None,
+        }
+        for x in bits(accused & self.in_view) {
+            let electorate = voters & !(1 << x);
+            let faulty: u64 = bits(electorate)
+                .map(|j| match self.last_acc[j] {
+                    Some((_, Some(acc))) => acc >> x & 1,
+                    _ => 0,
                 })
-                .collect();
-            if h_maj(votes) == HMaj::Decided(false) {
+                .sum();
+            let ok = u64::from(electorate.count_ones()) - faulty;
+            if h_maj_counts(ok, faulty) == HMaj::Decided(false) {
                 self.exclude(x, now);
             }
         }
@@ -316,9 +338,11 @@ pub struct LowLatCluster {
     nodes: Vec<LowLatNode>,
     pipeline: Box<dyn FaultPipeline>,
     abs: u64,
+    /// The bus outcome of the current slot, refilled in place every slot.
+    outcome: SlotOutcome,
     /// Ground truth per absolute slot (class of the applied effect), for
     /// the validation oracles; the protocol never reads it.
-    ground_truth: Vec<tt_sim::SlotFaultClass>,
+    ground_truth: Vec<SlotFaultClass>,
 }
 
 impl std::fmt::Debug for LowLatCluster {
@@ -334,12 +358,22 @@ impl LowLatCluster {
     /// Creates an `n`-node low-latency cluster. With `membership = true`
     /// the 2-round membership composition (accusation vectors and views) is
     /// active.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <=` [`MAX_SYNDROME_NODES`]: each node keeps
+    /// its votes and accusations as one bit per node in a 64-bit mask.
     pub fn new(n: usize, membership: bool, pipeline: Box<dyn FaultPipeline>) -> Self {
+        assert!(
+            (1..=MAX_SYNDROME_NODES).contains(&n),
+            "a low-latency cluster has 1..={MAX_SYNDROME_NODES} nodes, got {n}"
+        );
         LowLatCluster {
             n,
             nodes: (0..n).map(|i| LowLatNode::new(i, n, membership)).collect(),
             pipeline,
             abs: 0,
+            outcome: SlotOutcome::with_capacity(n),
             ground_truth: Vec::new(),
         }
     }
@@ -358,17 +392,18 @@ impl LowLatCluster {
             abs_slot: abs,
         };
         let effect = self.pipeline.effect(&ctx);
-        let outcome = apply_effect(&effect, &ctx, &payload);
+        let outcome = &mut self.outcome;
+        apply_effect_into(&effect, &ctx, &payload, outcome);
         self.ground_truth.push(outcome.class);
-        for (rx, reception) in outcome.receptions.into_iter().enumerate() {
+        for (rx, (node, reception)) in self.nodes.iter_mut().zip(&outcome.receptions).enumerate() {
             if rx == s {
                 // The sender observes its own slot via collision detection
                 // and processes its own (locally known) frame content.
-                self.nodes[rx].on_slot(abs, s, outcome.collision_ok, Some(&payload));
+                node.on_slot(abs, s, outcome.collision_ok, Some(&payload));
             } else {
                 match reception {
-                    Reception::Valid(p) => self.nodes[rx].on_slot(abs, s, true, Some(&p)),
-                    Reception::Detected => self.nodes[rx].on_slot(abs, s, false, None),
+                    Reception::Valid(p) => node.on_slot(abs, s, true, Some(p)),
+                    Reception::Detected => node.on_slot(abs, s, false, None),
                 }
             }
         }
@@ -395,21 +430,24 @@ impl LowLatCluster {
         sender: NodeId,
     ) -> Option<&SlotVerdict> {
         let abs = round.as_u64() * self.n as u64 + sender.slot() as u64;
-        self.nodes[node.index()]
-            .verdicts
-            .iter()
-            .find(|v| v.abs_slot == abs)
+        self.verdict_at(node, abs)
+    }
+
+    /// The verdict of `node` on absolute slot `abs`, if decided: a binary
+    /// search, since verdicts are decided in strictly increasing slot order.
+    pub fn verdict_at(&self, node: NodeId, abs: u64) -> Option<&SlotVerdict> {
+        let verdicts = &self.nodes[node.index()].verdicts;
+        verdicts
+            .binary_search_by_key(&abs, |v| v.abs_slot)
+            .ok()
+            .map(|i| &verdicts[i])
     }
 
     /// The current membership view at `node` (all nodes if membership mode
     /// is off).
     pub fn view(&self, node: NodeId) -> Vec<NodeId> {
-        self.nodes[node.index()]
-            .in_view
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| NodeId::from_slot(i))
+        bits(self.nodes[node.index()].in_view)
+            .map(NodeId::from_slot)
             .collect()
     }
 
@@ -420,7 +458,7 @@ impl LowLatCluster {
 
     /// Ground-truth fault class of `abs_slot` (recorded by the driver; the
     /// protocol never reads it).
-    pub fn ground_truth(&self, abs_slot: u64) -> Option<tt_sim::SlotFaultClass> {
+    pub fn ground_truth(&self, abs_slot: u64) -> Option<SlotFaultClass> {
         self.ground_truth.get(abs_slot as usize).copied()
     }
 
@@ -436,7 +474,6 @@ impl LowLatCluster {
     ///
     /// Returns human-readable violations (empty = all properties held).
     pub fn check_properties(&self) -> Vec<String> {
-        use tt_sim::SlotFaultClass;
         let mut violations = Vec::new();
         let n = self.n as u64;
         let decided = self.ground_truth.len() as u64;
@@ -523,7 +560,6 @@ impl LowLatCluster {
     /// slot earlier. Vacuous outside the hypothesis or when membership is
     /// off.
     pub fn check_view_synchrony(&self) -> Vec<String> {
-        use tt_sim::SlotFaultClass;
         let mut violations = Vec::new();
         if !self.membership_enabled() {
             return violations;
@@ -569,7 +605,6 @@ impl LowLatCluster {
     /// sender within two executions — 2·N slots (Sec. 10). Slots whose
     /// deadline falls past the end of the run are skipped.
     pub fn check_membership_liveness(&self) -> Vec<String> {
-        use tt_sim::SlotFaultClass;
         let mut violations = Vec::new();
         if !self.membership_enabled() {
             return violations;
@@ -604,14 +639,6 @@ impl LowLatCluster {
             }
         }
         violations
-    }
-
-    /// The verdict of `node` on absolute slot `abs`, if decided.
-    fn verdict_at(&self, node: NodeId, abs: u64) -> Option<&SlotVerdict> {
-        self.nodes[node.index()]
-            .verdicts
-            .iter()
-            .find(|v| v.abs_slot == abs)
     }
 }
 
@@ -741,8 +768,56 @@ mod tests {
         let node = LowLatNode::new(0, 4, true);
         let frame = node.build_frame(0);
         assert_eq!(frame.len(), 2, "2N bits = 2 bytes for N = 4");
-        let (window, acc) = node.decode_frame(&frame);
-        assert!(window.iter().all(|b| b));
-        assert!(acc.iter().all(|&a| !a), "no accusations initially");
+        let (window, accused) = node.decode_frame(&frame);
+        assert_eq!(window, 0b1111, "slots before time are vacuously correct");
+        assert_eq!(accused, 0, "no accusations initially");
+        // Decoding is total: a short frame reads as all-faulty, all-accused.
+        assert_eq!(node.decode_frame(&[]), (0, 0b1111));
+    }
+
+    #[test]
+    fn minority_accusation_is_carried_for_exactly_two_rounds() {
+        // Node 1 alone misses node 2's frame in slot 5. The verdict on that
+        // slot (decided at slot 9) is healthy, so node 3 holds node 1's
+        // dissenting vote as a minority accusation: every frame node 3
+        // builds in the 2N slots after the decision accuses node 1, and no
+        // frame after that does.
+        let pipeline = |ctx: &TxCtx| {
+            if ctx.abs_slot == 5 {
+                SlotEffect::Asymmetric {
+                    detected_by: vec![0],
+                    collision_ok: true,
+                }
+            } else {
+                SlotEffect::Correct
+            }
+        };
+        let n = 4u64;
+        let decided = 5 + n;
+        let mut c = LowLatCluster::new(n as usize, true, Box::new(pipeline));
+        let mut carried = Vec::new();
+        while c.slots() < decided + 4 * n {
+            // The frame node 3 would send if it owned the upcoming slot.
+            let accuser = &c.nodes[2];
+            let (_, accused) = accuser.decode_frame(&accuser.build_frame(c.slots()));
+            if accused & 1 != 0 {
+                carried.push(c.slots());
+            }
+            c.run_slot();
+        }
+        let expected: Vec<u64> = (decided + 1..=decided + 2 * n).collect();
+        assert_eq!(carried, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 nodes, got 0")]
+    fn empty_cluster_is_rejected() {
+        LowLatCluster::new(0, false, Box::new(tt_sim::NoFaults));
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 nodes, got 65")]
+    fn cluster_wider_than_a_mask_is_rejected() {
+        LowLatCluster::new(65, false, Box::new(tt_sim::NoFaults));
     }
 }

@@ -100,6 +100,11 @@ impl Syndrome {
         }
     }
 
+    /// The packed opinions: bit `j` is the opinion on node `j+1`.
+    pub(crate) fn bits(&self) -> u64 {
+        self.mask
+    }
+
     /// Iterates over the opinions in node order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         let mask = self.mask;

@@ -102,7 +102,18 @@ pub fn h_maj_tally(votes: impl IntoIterator<Item = Option<bool>>) -> VoteTally {
             None => epsilon += 1,
         }
     }
-    let outcome = if ok + faulty == 0 {
+    VoteTally {
+        ok,
+        faulty,
+        epsilon,
+        outcome: h_maj_counts(ok, faulty),
+    }
+}
+
+/// `H-maj` from the two opinion counts alone (ε votes do not enter Eqn. 1),
+/// for callers that count a column with popcounts over vote masks.
+pub(crate) fn h_maj_counts(ok: u64, faulty: u64) -> HMaj {
+    if ok + faulty == 0 {
         HMaj::Undecidable
     } else if faulty > ok {
         HMaj::Decided(false)
@@ -110,12 +121,6 @@ pub fn h_maj_tally(votes: impl IntoIterator<Item = Option<bool>>) -> VoteTally {
         // Majority healthy, or a tie: the `else` branch of Eqn. 1 —
         // default to "not faulty".
         HMaj::Decided(true)
-    };
-    VoteTally {
-        ok,
-        faulty,
-        epsilon,
-        outcome,
     }
 }
 

@@ -432,13 +432,7 @@ fn lowlat_slot_properties(cluster: &LowLatCluster, n: usize) -> Vec<String> {
     let mut violations = Vec::new();
     let nn = n as u64;
     let slots = cluster.slots();
-    let healthy_at = |id: NodeId, abs: u64| -> Option<bool> {
-        cluster
-            .verdicts(id)
-            .iter()
-            .find(|v| v.abs_slot == abs)
-            .map(|v| v.healthy)
-    };
+    let healthy_at = |id: NodeId, abs: u64| cluster.verdict_at(id, abs).map(|v| v.healthy);
     let first_divergent = (0..slots)
         .find(|&s| {
             matches!(
@@ -495,7 +489,7 @@ fn lowlat_fingerprints(cluster: &LowLatCluster, n: usize) -> Vec<u64> {
         .map(|id| cluster.verdicts(id).len())
         .max()
         .unwrap_or(0);
-    let full: u64 = (1u64 << n) - 1;
+    let full = u64::MAX >> (64 - n);
     let mut out = Vec::with_capacity(steps);
     for i in 0..steps {
         let mut h = Fnv1a64::new();
@@ -607,6 +601,31 @@ mod tests {
         );
         // 24 rounds × 4 slots, minus the one undecidable trailing round.
         assert_eq!(exec.fingerprints.len(), 24 * 4 - 4);
+    }
+
+    #[test]
+    fn lowlat_runs_at_the_full_mask_width() {
+        // N = 64 fills every node mask: a benign fault still passes every
+        // oracle, and a view that never changed hashes all 64 members.
+        let mut s = base(ProtocolUnderTest::Lowlat);
+        s.n = 64;
+        s.rounds = 4;
+        s.faults.push(ScheduledFault {
+            node: 3,
+            round: 1,
+            hits: 1,
+            stride: 1,
+            class: ScheduledClass::Benign,
+        });
+        let exec = execute_schedule(&s);
+        assert!(exec.verdict.ok(), "{:?}", exec.verdict.all());
+        assert_eq!(exec.fingerprints.len(), 3 * 64);
+        let mut first = Fnv1a64::new();
+        for _ in 0..64 {
+            first.write(&[1, 0, 1]);
+            first.write(&u64::MAX.to_le_bytes());
+        }
+        assert_eq!(exec.fingerprints[0], first.finish());
     }
 
     #[test]

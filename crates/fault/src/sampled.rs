@@ -16,9 +16,10 @@
 //!   schedules as lanes of one lockstep [`tt_core::BatchDiagJob`] (with
 //!   per-subject criticalities applied) and returns what the sweep
 //!   estimators need: isolation decisions and forgiveness counts.
-//!   [`observe_schedule`] is the scalar equivalent the sweep falls back to
-//!   when a cell's shape is unsupported by the batched engine — and the
-//!   cross-check that the two paths agree observation for observation.
+//!   [`observe_schedule`] is its scalar equivalent, kept as the reference
+//!   the tests cross-check the lockstep path against, observation for
+//!   observation; the sweep itself has no scalar path (it validates its
+//!   grid to shapes the lockstep engine runs).
 
 use tt_core::{BatchDiagJob, DiagJob, ProtocolConfig};
 use tt_sim::{ClusterBuilder, NodeId, SimError};
@@ -168,8 +169,8 @@ impl ScheduleObservation {
 /// # Errors
 ///
 /// Propagates the engine's validation errors (cluster size outside
-/// `2..=64`, fault slot out of range) — the caller falls back to
-/// [`observe_schedule`].
+/// `2..=64`, fault slot out of range). There is no fallback: a caller that
+/// validated its schedules, as the sweep does, treats an error as a bug.
 ///
 /// # Panics
 ///

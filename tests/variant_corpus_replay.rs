@@ -123,6 +123,45 @@ fn corpus_seeds_explore_cleanly(variant: &str, protocol: ProtocolUnderTest) {
     assert!(report.unique_states > 0);
 }
 
+/// CI's lowlat explorer session (`ttdiag explore --protocol lowlat --seed
+/// 3517318629 --budget 150 --corpus tests/corpus/lowlat --json FILE`),
+/// pinned byte for byte in `tests/golden/explore_lowlat.json`: a change to
+/// any Sec. 10 verdict, view or fingerprint moves the discovered corpus or
+/// the state count, and the report bytes with them.
+#[test]
+fn lowlat_explore_session_matches_its_golden_report() {
+    let seeds: Vec<FaultSchedule> = variant_corpus("lowlat", ProtocolUnderTest::Lowlat)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    let cfg = ExploreConfig {
+        budget: 150,
+        seed: 3_517_318_629,
+        protocol: ProtocolUnderTest::Lowlat,
+        ..ExploreConfig::default()
+    };
+    let report = explore_with(&cfg, &seeds, &tt_fault::explore::no_extra_oracle);
+    let got = serde_json::to_string_pretty(&report).expect("report serializes");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/explore_lowlat.json");
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .map_or_else(
+                || "past the shorter report".to_owned(),
+                |i| (i + 1).to_string(),
+            );
+        panic!(
+            "the lowlat explorer report drifted from {} (first difference at line {line}); \
+             if intentional, regenerate it with the ttdiag command in this test's doc",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn membership_corpus_seeds_explore_cleanly() {
     corpus_seeds_explore_cleanly("membership", ProtocolUnderTest::Membership);
