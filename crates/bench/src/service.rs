@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use tt_analysis::{resume_sweep, run_sweep, SweepConfig, SweepSupervisor};
+use tt_core::syndrome::MAX_SYNDROME_NODES;
 use tt_fault::{
     no_extra_oracle, read_json, sec8_classes, write_json_atomic, CampaignCheckpoint,
     ExperimentSinks, ExploreCheckpoint, ExploreConfig, Explorer, NoHarnessFaults,
@@ -118,8 +119,10 @@ impl JobSpec {
             JobSpec::Campaign {
                 nodes, reps, chunk, ..
             } => {
-                if nodes < 4 {
-                    return Err("campaign needs nodes >= 4".into());
+                if !(4..=MAX_SYNDROME_NODES).contains(&nodes) {
+                    return Err(format!(
+                        "campaign needs 4..={MAX_SYNDROME_NODES} nodes, got {nodes}"
+                    ));
                 }
                 if reps == 0 {
                     return Err("campaign needs reps >= 1".into());
@@ -133,8 +136,10 @@ impl JobSpec {
                 chunk,
                 ..
             } => {
-                if nodes < 4 {
-                    return Err("explore needs nodes >= 4".into());
+                if !(4..=MAX_SYNDROME_NODES).contains(&nodes) {
+                    return Err(format!(
+                        "explore needs 4..={MAX_SYNDROME_NODES} nodes, got {nodes}"
+                    ));
                 }
                 if rounds < 12 {
                     return Err("explore needs rounds >= 12".into());
@@ -795,6 +800,31 @@ mod tests {
                 "timed out waiting for {want:?}, last {status:?}"
             );
             std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn validate_bounds_cluster_size_to_a_syndrome_word() {
+        let campaign = |nodes| JobSpec::Campaign {
+            nodes,
+            reps: 1,
+            base_seed: 0,
+            threads: 1,
+            chunk: 1,
+        };
+        let explore = |nodes| JobSpec::Explore {
+            nodes,
+            rounds: 24,
+            budget: 1,
+            seed: 0,
+            chunk: 1,
+        };
+        for spec in [campaign(4), campaign(64), explore(4), explore(64)] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+        }
+        for spec in [campaign(3), campaign(65), explore(3), explore(65)] {
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("4..=64 nodes"), "{spec:?}: {err}");
         }
     }
 

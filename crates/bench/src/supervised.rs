@@ -232,11 +232,21 @@ struct Pending {
     delay: Duration,
 }
 
-/// An attempt currently executing on a worker.
+/// Attempts kept assigned to each worker: one running and one waiting in
+/// its assignment channel. A worker that reports an attempt then starts the
+/// next one at once, instead of parking in `recv` until the supervisor has
+/// settled the event and handed over more work.
+const WORKER_QUEUE_DEPTH: usize = 2;
+
+/// An attempt assigned to a worker: running at the front of the worker's
+/// FIFO, or waiting behind it in the worker's assignment channel.
 struct InFlight {
     item: usize,
     token: CancellationToken,
-    /// Watchdog deadline; `None` once cancelled (or with no watchdog).
+    /// Backoff delay the worker sleeps before starting the attempt.
+    delay: Duration,
+    /// Watchdog deadline; `None` while queued behind another attempt, once
+    /// cancelled, or with no watchdog.
     deadline: Option<Instant>,
 }
 
@@ -360,75 +370,91 @@ impl SupervisedCampaign<'_> {
             }
             drop(event_tx);
 
-            let mut idle: Vec<usize> = (0..threads).rev().collect();
-            let mut in_flight: HashMap<usize, InFlight> = HashMap::new();
+            // Per worker, its assigned attempts in the order it runs them.
+            let mut lanes: Vec<VecDeque<InFlight>> = (0..threads)
+                .map(|_| VecDeque::with_capacity(WORKER_QUEUE_DEPTH))
+                .collect();
+            // A worker starts an attempt once the one ahead of it has
+            // reported, so the watchdog clock starts then, not at assignment.
+            let arm = |f: &mut InFlight| {
+                f.deadline = self.config.watchdog.map(|d| Instant::now() + f.delay + d);
+            };
 
             loop {
                 let total_settled = completed.len() + quarantined.len();
                 if total_settled == items.len() {
                     break;
                 }
-                halted = self.config.halt_after.is_some_and(|k| newly_settled >= k);
-                if halted && in_flight.is_empty() {
+                // Outstanding attempts never exceed what `halt_after` still
+                // allows, so a halted run settles exactly `halt_after` items
+                // and nothing is left running when it stops.
+                let allowed = self
+                    .config
+                    .halt_after
+                    .map_or(usize::MAX, |k| k.saturating_sub(newly_settled));
+                halted = allowed == 0;
+                let mut outstanding: usize = lanes.iter().map(VecDeque::len).sum();
+                if halted {
+                    debug_assert_eq!(outstanding, 0);
                     break;
                 }
-                // Hand queued attempts to idle, healthy workers. If every
-                // worker is isolated, all stay eligible: the pool degrades,
-                // it never deadlocks.
-                if !halted {
-                    let all_isolated = health.iter().all(|h| h.is_isolated());
-                    while !queue.is_empty() {
-                        let Some(pos) = idle
-                            .iter()
-                            .rposition(|&w| all_isolated || !health[w].is_isolated())
-                        else {
-                            break;
-                        };
-                        let worker = idle.remove(pos);
-                        let p = queue.pop_front().expect("queue checked non-empty");
-                        let (class, seed) = items[p.item];
-                        let token = CancellationToken::new();
-                        let inject = hook.fault(p.item, p.attempt);
-                        in_flight.insert(
-                            worker,
-                            InFlight {
-                                item: p.item,
-                                token: token.clone(),
-                                deadline: self
-                                    .config
-                                    .watchdog
-                                    .map(|d| Instant::now() + p.delay + d),
-                            },
-                        );
-                        assignment_txs[worker]
-                            .send(Assignment {
-                                worker,
-                                item: p.item,
-                                class,
-                                seed,
-                                delay: p.delay,
-                                token,
-                                inject,
-                            })
-                            .expect("worker outlives the supervisor scope");
-                    }
-                }
-                if in_flight.is_empty() {
-                    // Nothing running and nothing assignable: only possible
-                    // when halting (handled above) or when the queue is
-                    // empty but unsettled items remain — which cannot
-                    // happen, since failed attempts requeue synchronously.
-                    debug_assert!(halted || !queue.is_empty());
-                    if queue.is_empty() {
+                // Top up healthy workers to the queue depth, emptiest first,
+                // so every worker runs something before any gets a second
+                // attempt queued. If every worker is isolated, all stay
+                // eligible: the pool degrades, it never deadlocks.
+                let all_isolated = health.iter().all(|h| h.is_isolated());
+                while outstanding < allowed && !queue.is_empty() {
+                    let Some(worker) = (0..threads)
+                        .filter(|&w| {
+                            lanes[w].len() < WORKER_QUEUE_DEPTH
+                                && (all_isolated || !health[w].is_isolated())
+                        })
+                        .min_by_key(|&w| lanes[w].len())
+                    else {
                         break;
+                    };
+                    let p = queue.pop_front().expect("queue checked non-empty");
+                    let (class, seed) = items[p.item];
+                    let token = CancellationToken::new();
+                    let inject = hook.fault(p.item, p.attempt);
+                    let mut flight = InFlight {
+                        item: p.item,
+                        token: token.clone(),
+                        delay: p.delay,
+                        deadline: None,
+                    };
+                    if lanes[worker].is_empty() {
+                        arm(&mut flight);
                     }
-                    continue;
+                    lanes[worker].push_back(flight);
+                    outstanding += 1;
+                    assignment_txs[worker]
+                        .send(Assignment {
+                            worker,
+                            item: p.item,
+                            class,
+                            seed,
+                            delay: p.delay,
+                            token,
+                            inject,
+                        })
+                        .expect("worker outlives the supervisor scope");
+                }
+                if outstanding == 0 {
+                    // Nothing running and nothing assignable: only possible
+                    // when the queue is empty but unsettled items remain —
+                    // which cannot happen, since failed attempts requeue
+                    // synchronously.
+                    debug_assert!(queue.is_empty());
+                    break;
                 }
                 // Wait for the next event, or the nearest watchdog deadline.
+                // Only the attempt at the front of a worker's FIFO is
+                // running, so only it has a deadline.
                 let now = Instant::now();
-                let next_deadline = in_flight
-                    .values()
-                    .filter_map(|f| f.deadline)
+                let next_deadline = lanes
+                    .iter()
+                    .filter_map(|lane| lane.front()?.deadline)
                     .min()
                     .map(|d| d.saturating_duration_since(now));
                 let event = match next_deadline {
@@ -447,7 +473,7 @@ impl SupervisedCampaign<'_> {
                     // reports `Cancelled`; the deadline is cleared so the
                     // attempt is not cancelled twice.
                     let now = Instant::now();
-                    for f in in_flight.values_mut() {
+                    for f in lanes.iter_mut().filter_map(VecDeque::front_mut) {
                         if f.deadline.is_some_and(|d| d <= now) {
                             f.token.cancel();
                             f.deadline = None;
@@ -455,11 +481,15 @@ impl SupervisedCampaign<'_> {
                     }
                     continue;
                 };
-                let flight = in_flight
-                    .remove(&event.worker)
+                let lane = &mut lanes[event.worker];
+                let flight = lane
+                    .pop_front()
                     .expect("event only from an assigned worker");
                 debug_assert_eq!(flight.item, event.item);
-                idle.push(event.worker);
+                // The worker has started its queued attempt, if any.
+                if let Some(next) = lane.front_mut() {
+                    arm(next);
+                }
                 let attempt_no = *failures.get(&event.item).unwrap_or(&0);
                 let settled_before = newly_settled;
                 match event.outcome {
@@ -704,25 +734,65 @@ mod tests {
         };
         let (_, hangs, _) = plan.expected_faults(9);
         assert!(hangs > 0);
-        let sup = campaign(
-            &classes,
-            SupervisorConfig {
-                watchdog: Some(Duration::from_millis(30)),
-                backoff: BackoffPolicy {
-                    base: Duration::from_millis(1),
-                    cap: Duration::from_millis(2),
-                    max_retries: 1,
+        // One worker queues each hang behind another attempt, so its
+        // deadline must start when the attempt ahead of it reports.
+        for threads in [1usize, 4] {
+            let sup = campaign(
+                &classes,
+                SupervisorConfig {
+                    threads,
+                    watchdog: Some(Duration::from_millis(30)),
+                    backoff: BackoffPolicy {
+                        base: Duration::from_millis(1),
+                        cap: Duration::from_millis(2),
+                        max_retries: 1,
+                    },
+                    ..SupervisorConfig::default()
                 },
-                ..SupervisorConfig::default()
-            },
-        )
-        .run(&plan)
-        .unwrap();
-        assert_eq!(sup.supervision.quarantined.len(), hangs);
-        for q in &sup.supervision.quarantined {
-            assert_eq!(q.reason, QuarantineReason::Timeout, "{q:?}");
+            )
+            .run(&plan)
+            .unwrap();
+            assert_eq!(
+                sup.supervision.quarantined.len(),
+                hangs,
+                "{threads} threads"
+            );
+            for q in &sup.supervision.quarantined {
+                assert_eq!(q.reason, QuarantineReason::Timeout, "{q:?}");
+            }
+            assert_eq!(sup.result.total(), 9 - hangs, "{threads} threads");
         }
-        assert_eq!(sup.result.total(), 9 - hangs);
+    }
+
+    #[test]
+    fn one_worker_halt_settles_exactly_halt_after_items() {
+        // The worker keeps an attempt queued behind the running one, but
+        // never more than `halt_after` still allows: the halted outcome and
+        // its checkpoint hold exactly k settled items.
+        let classes = classes();
+        let dir = std::env::temp_dir().join("tt-bench-supervised-exact-halt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("campaign.json");
+        let seq = run_campaign(&classes, 4, 3, 42);
+        for k in [1usize, 2, 5] {
+            let halted = campaign(
+                &classes,
+                SupervisorConfig {
+                    threads: 1,
+                    checkpoint_every: 0,
+                    checkpoint_path: Some(path.clone()),
+                    halt_after: Some(k),
+                    ..SupervisorConfig::default()
+                },
+            )
+            .run(&NoHarnessFaults)
+            .unwrap();
+            assert!(halted.halted, "halt_after {k}");
+            assert_eq!(halted.result.outcomes, seq.outcomes[..k], "halt_after {k}");
+            let cp: CampaignCheckpoint = tt_fault::read_json(&path).unwrap();
+            assert_eq!(cp.settled().count(), k, "halt_after {k}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

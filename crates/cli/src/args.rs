@@ -468,6 +468,17 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
+/// Refuses a cluster size that one syndrome word (one bit per node) cannot
+/// hold, before any cluster is built.
+fn check_cluster_nodes(nodes: usize) -> Result<(), ParseError> {
+    let max = tt_core::syndrome::MAX_SYNDROME_NODES;
+    if (2..=max).contains(&nodes) {
+        Ok(())
+    } else {
+        err(format!("need 2..={max} nodes, got {nodes}"))
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, ParseError> {
     s.parse()
         .map_err(|_| ParseError(format!("invalid {what}: {s:?}")))
@@ -835,9 +846,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown simulate flag {other:?}")),
                 }
             }
-            if nodes < 2 {
-                return err("need at least 2 nodes");
-            }
+            check_cluster_nodes(nodes)?;
             Ok(Command::Simulate {
                 nodes,
                 rounds,
@@ -878,9 +887,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown metrics flag {other:?}")),
                 }
             }
-            if nodes < 2 {
-                return err("need at least 2 nodes");
-            }
+            check_cluster_nodes(nodes)?;
             Ok(Command::Metrics {
                 nodes,
                 rounds,
@@ -920,9 +927,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown trace flag {other:?}")),
                 }
             }
-            if nodes < 2 {
-                return err("need at least 2 nodes");
-            }
+            check_cluster_nodes(nodes)?;
             Ok(Command::Trace {
                 nodes,
                 rounds,
@@ -958,6 +963,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown replay flag {other:?}")),
                 }
             }
+            check_cluster_nodes(nodes)?;
             Ok(Command::Replay {
                 trace: trace.clone(),
                 nodes,
@@ -1513,6 +1519,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        assert!(parse(&args("simulate --nodes 1")).is_err());
+        assert!(parse(&args("simulate --nodes 64")).is_ok());
+        assert!(parse(&args("simulate --nodes 65")).is_err());
+        assert!(parse(&args("replay t.json --nodes 1")).is_err());
+        assert!(parse(&args("replay t.json --nodes 65")).is_err());
     }
 
     #[test]
@@ -1625,6 +1636,8 @@ mod tests {
         }
         assert!(parse(&args("metrics --format xml")).is_err());
         assert!(parse(&args("metrics --nodes 1")).is_err());
+        assert!(parse(&args("metrics --nodes 64")).is_ok());
+        assert!(parse(&args("metrics --nodes 65")).is_err());
     }
 
     #[test]
@@ -1679,6 +1692,8 @@ mod tests {
         );
         assert!(parse(&args("trace --format xml")).is_err());
         assert!(parse(&args("trace --nodes 1")).is_err());
+        assert!(parse(&args("trace --nodes 64")).is_ok());
+        assert!(parse(&args("trace --nodes 65")).is_err());
     }
 
     #[test]

@@ -103,6 +103,26 @@ fn out_of_range_explore_cluster_is_a_usage_error() {
 }
 
 #[test]
+fn out_of_range_simulation_cluster_is_a_usage_error() {
+    // simulate, metrics and trace build a syndrome per node: a cluster
+    // past 64 nodes is refused by the parser, not a panic in the engine.
+    for cmd in ["simulate", "metrics", "trace"] {
+        for nodes in ["1", "65"] {
+            let out = ttdiag()
+                .args([cmd, "--nodes", nodes, "--rounds", "2"])
+                .output()
+                .expect("spawn ttdiag");
+            assert_eq!(out.status.code(), Some(2), "{cmd} --nodes {nodes}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("2..=64 nodes"),
+                "{cmd} --nodes {nodes}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn tiny_tune_sweep_exits_zero() {
     let out = ttdiag()
         .args([

@@ -55,7 +55,8 @@ use tt_core::properties::{
 };
 use tt_core::{DiagJob, ProtocolConfig};
 use tt_sim::{
-    Cluster, ClusterBuilder, FaultPipeline, Fnv1a64, NodeId, RoundIndex, SlotEffect, TxCtx,
+    apply_effect_into, Cluster, ClusterBuilder, FaultPipeline, Fnv1a64, NodeId, RoundIndex,
+    SlotEffect, SlotOutcome, TxCtx,
 };
 
 /// The diagnosis lag of the conservative send alignment used throughout
@@ -259,17 +260,35 @@ impl Deserialize for FaultSchedule {
 /// Executes a [`FaultSchedule`] verbatim on the bus. First matching fault
 /// wins; execution uses no randomness at all.
 struct SchedulePipeline {
-    faults: Vec<ScheduledFault>,
+    /// Each fault with its bus effect, built once so that a hit fills the
+    /// engine's slot buffer without allocating.
+    faults: Vec<(ScheduledFault, SlotEffect)>,
+}
+
+impl SchedulePipeline {
+    fn new(faults: &[ScheduledFault]) -> Self {
+        SchedulePipeline {
+            faults: faults.iter().map(|f| (f.clone(), f.effect())).collect(),
+        }
+    }
+
+    /// The effect of the first fault covering the slot, if any.
+    fn hit(&self, ctx: &TxCtx) -> Option<&SlotEffect> {
+        self.faults
+            .iter()
+            .find(|(f, _)| f.covers(ctx.round.as_u64(), ctx.sender))
+            .map(|(_, effect)| effect)
+    }
 }
 
 impl FaultPipeline for SchedulePipeline {
     fn effect(&mut self, ctx: &TxCtx) -> SlotEffect {
-        for f in &self.faults {
-            if f.covers(ctx.round.as_u64(), ctx.sender) {
-                return f.effect();
-            }
-        }
-        SlotEffect::Correct
+        self.hit(ctx).cloned().unwrap_or(SlotEffect::Correct)
+    }
+
+    fn transmit_into(&mut self, ctx: &TxCtx, payload: &Bytes, out: &mut SlotOutcome) {
+        let effect = self.hit(ctx).unwrap_or(&SlotEffect::Correct);
+        apply_effect_into(effect, ctx, payload, out);
     }
 }
 
@@ -348,9 +367,7 @@ pub fn no_extra_oracle(_: &Cluster) -> Vec<String> {
 /// matching fault wins per slot), for callers building their own clusters
 /// around a schedule — e.g. the sampled-workload observers.
 pub fn schedule_pipeline(schedule: &FaultSchedule) -> Box<dyn FaultPipeline> {
-    Box::new(SchedulePipeline {
-        faults: schedule.faults.clone(),
-    })
+    Box::new(SchedulePipeline::new(&schedule.faults))
 }
 
 /// Executes `schedule` and checks it against the built-in oracle stack.
@@ -385,9 +402,7 @@ fn execute_diag_schedule(schedule: &FaultSchedule, extra: ExtraOracle<'_>) -> Sc
         .reward_threshold(schedule.reward_threshold)
         .build()
         .expect("schedule carries a valid protocol config");
-    let pipeline = SchedulePipeline {
-        faults: schedule.faults.clone(),
-    };
+    let pipeline = SchedulePipeline::new(&schedule.faults);
     let mut cluster = ClusterBuilder::new(schedule.n)
         .round_length(round_for(schedule.n))
         .build_with_jobs(

@@ -196,12 +196,23 @@ impl BackoffPolicy {
     }
 }
 
-/// A per-worker penalty/reward health tracker mirroring the paper's
-/// Alg. 2: every failure (panic or timeout attributable to the worker)
-/// raises the penalty counter and resets the reward counter; every
+/// A per-worker penalty/reward health tracker in the vocabulary of the
+/// paper's Alg. 2: every failure (panic or timeout attributable to the
+/// worker) raises the penalty counter and resets the reward counter; every
 /// success raises the reward counter, and `reward_threshold` consecutive
 /// successes decrement the penalty (forgiveness). A worker whose penalty
 /// reaches `penalty_threshold` is isolated from the pool.
+///
+/// It is not a copy of Alg. 2 ([`tt_core::PenaltyReward`]), which it
+/// departs from in three ways:
+///
+/// * it isolates at `penalty >= P`; Alg. 2 isolates at `penalty > P`;
+/// * forgiveness takes one penalty point off; Alg. 2 resets both counters;
+/// * successes earn rewards even with no penalty pending; Alg. 2 rewards a
+///   node only while its penalty is above zero.
+///
+/// The quarantine and isolation counts that the supervision tests and the
+/// CI chaos job assert depend on these rules, so they are kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerHealth {
     penalty: u32,

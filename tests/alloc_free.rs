@@ -15,6 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tt_core::{BatchDiagJob, BatchLaneParams, DiagJob, ProtocolConfig};
+use tt_fault::{
+    schedule_pipeline, FaultSchedule, ProtocolUnderTest, ScheduledClass, ScheduledFault,
+};
 use tt_sim::{
     BatchCluster, BatchFaultPlan, ClusterBuilder, LaneEffect, LaneFault, NoFaults, NoopSink,
     NoopTraceSink, RecordingSink, RecordingTraceSink, RoundIndex, SlotEffect, StreamHub,
@@ -102,6 +105,50 @@ fn steady_state_run_round_allocates_nothing_with_trace_off() {
         "benign-fault steady-state rounds must not allocate with tracing off"
     );
     assert_eq!(cluster.round(), RoundIndex::new(32 + 3 * 256));
+
+    // The explorer's schedule pipeline builds each fault's effect once, so
+    // benign, malicious and asymmetric hits fill the engine's slot buffer
+    // in place: the malicious payload is a reference-count bump and the
+    // asymmetric receiver set is read, not cloned.
+    let fault = |node, stride, class| ScheduledFault {
+        node,
+        round: 2,
+        hits: 1_000,
+        stride,
+        class,
+    };
+    let schedule = FaultSchedule {
+        n: 4,
+        rounds: 800,
+        penalty_threshold: 1_000_000,
+        reward_threshold: 1_000_000,
+        faults: vec![
+            fault(1, 3, ScheduledClass::Benign),
+            fault(2, 2, ScheduledClass::Malicious { payload: 0xAB }),
+            fault(
+                4,
+                1,
+                ScheduledClass::Asymmetric {
+                    detected_by: vec![0, 2],
+                },
+            ),
+        ],
+        protocol: ProtocolUnderTest::Diag,
+    };
+    let mut scheduled = ClusterBuilder::new(4)
+        .trace_mode(TraceMode::Off)
+        .build(schedule_pipeline(&schedule))
+        .expect("valid cluster");
+    scheduled.run_rounds(32);
+    let delta = min_allocation_delta(|| {
+        let before = allocations();
+        scheduled.run_rounds(256);
+        allocations() - before
+    });
+    assert_eq!(
+        delta, 0,
+        "scheduled benign, malicious and asymmetric faults must not allocate with tracing off"
+    );
 
     // An explicitly NoopSink-instrumented cluster is just as free: every
     // metrics hook is a virtual no-op call and no event is ever built
