@@ -73,6 +73,10 @@ pub enum JobSpec {
         threads: usize,
         /// Experiments settled per chunk (checkpoint + halt granularity).
         chunk: u64,
+        /// Halt once, at the first chunk boundary with at least this many
+        /// experiments settled (absent in requests from older clients).
+        #[serde(default)]
+        halt_after: Option<u64>,
     },
     /// The coverage-guided fault-scenario explorer.
     Explore {
@@ -86,6 +90,10 @@ pub enum JobSpec {
         seed: u64,
         /// Schedules executed per chunk.
         chunk: u64,
+        /// Halt once, at the first chunk boundary with at least this many
+        /// schedules executed (absent in requests from older clients).
+        #[serde(default)]
+        halt_after: Option<u64>,
     },
     /// The pinned small Sec. 9 tuning grid (the default [`SweepConfig`]).
     TuneSweep {
@@ -113,8 +121,22 @@ impl JobSpec {
         }
     }
 
+    /// The settled-item count at which the job halts once by itself, if
+    /// any (campaign and explore jobs).
+    pub fn halt_after(&self) -> Option<u64> {
+        match *self {
+            JobSpec::Campaign { halt_after, .. } | JobSpec::Explore { halt_after, .. } => {
+                halt_after
+            }
+            JobSpec::TuneSweep { .. } => None,
+        }
+    }
+
     /// Validates the spec (usage errors, reported before queueing).
     pub fn validate(&self) -> Result<(), String> {
+        if self.halt_after() == Some(0) {
+            return Err("halt_after must be >= 1".into());
+        }
         let chunk = match *self {
             JobSpec::Campaign {
                 nodes, reps, chunk, ..
@@ -492,9 +514,12 @@ impl DiagService {
             total: spec.total(),
             resumed_from,
         });
+        // A job resumed at or past its `halt_after` point has halted there
+        // once already and now runs to the end.
+        let halt_at = spec.halt_after().filter(|&h| resumed_from < h);
         let result = match spec {
-            JobSpec::Campaign { .. } => self.run_campaign_job(id, &spec, &halt),
-            JobSpec::Explore { .. } => self.run_explore_job(id, &spec, &halt),
+            JobSpec::Campaign { .. } => self.run_campaign_job(id, &spec, &halt, halt_at),
+            JobSpec::Explore { .. } => self.run_explore_job(id, &spec, &halt, halt_at),
             JobSpec::TuneSweep { chunk } => self.run_sweep_job(id, chunk, &halt),
         };
         match result {
@@ -575,6 +600,7 @@ impl DiagService {
         id: u64,
         spec: &JobSpec,
         halt: &AtomicBool,
+        halt_at: Option<u64>,
     ) -> io::Result<ChunkedEnd> {
         let JobSpec::Campaign {
             nodes,
@@ -582,6 +608,7 @@ impl DiagService {
             base_seed,
             threads,
             chunk,
+            ..
         } = *spec
         else {
             unreachable!("dispatched on the Campaign variant");
@@ -643,7 +670,7 @@ impl DiagService {
                     ),
                 });
             }
-            if halt.load(Ordering::Relaxed) {
+            if halt.load(Ordering::Relaxed) || halt_at.is_some_and(|h| settled >= h) {
                 return Ok(ChunkedEnd::Halted);
             }
         }
@@ -654,6 +681,7 @@ impl DiagService {
         id: u64,
         spec: &JobSpec,
         halt: &AtomicBool,
+        halt_at: Option<u64>,
     ) -> io::Result<ChunkedEnd> {
         let JobSpec::Explore {
             nodes,
@@ -661,6 +689,7 @@ impl DiagService {
             budget,
             seed,
             chunk,
+            ..
         } = *spec
         else {
             unreachable!("dispatched on the Explore variant");
@@ -718,7 +747,7 @@ impl DiagService {
                     ),
                 });
             }
-            if halt.load(Ordering::Relaxed) {
+            if halt.load(Ordering::Relaxed) || halt_at.is_some_and(|h| session.executed() >= h) {
                 return Ok(ChunkedEnd::Halted);
             }
         }
@@ -811,6 +840,7 @@ mod tests {
             base_seed: 0,
             threads: 1,
             chunk: 1,
+            halt_after: None,
         };
         let explore = |nodes| JobSpec::Explore {
             nodes,
@@ -818,6 +848,7 @@ mod tests {
             budget: 1,
             seed: 0,
             chunk: 1,
+            halt_after: None,
         };
         for spec in [campaign(4), campaign(64), explore(4), explore(64)] {
             assert_eq!(spec.validate(), Ok(()), "{spec:?}");
@@ -840,6 +871,7 @@ mod tests {
                 base_seed: 2_007,
                 threads: 2,
                 chunk: 7,
+                halt_after: None,
             })
             .unwrap();
         assert_eq!(status.state, JobState::Queued);
@@ -883,6 +915,7 @@ mod tests {
                 base_seed: 99,
                 threads: 2,
                 chunk: 2,
+                halt_after: None,
             })
             .unwrap();
         let id = status.id;
@@ -900,6 +933,87 @@ mod tests {
     }
 
     #[test]
+    fn halt_after_halts_once_at_a_chunk_boundary_then_resume_finishes() {
+        let dir = tmp_dir("halt-after");
+        let service = DiagService::start(&dir).unwrap();
+        let sub = service.hubs().progress.subscribe(1 << 16);
+        let status = service
+            .submit(JobSpec::Campaign {
+                nodes: 8,
+                reps: 4,
+                base_seed: 99,
+                threads: 2,
+                chunk: 4,
+                halt_after: Some(6),
+            })
+            .unwrap();
+        let id = status.id;
+        // Chunks of 4: the first boundary with >= 6 settled is at 8.
+        let halted = wait_state(&service, id, JobState::Halted, Duration::from_secs(120));
+        assert_eq!(halted.completed, 8, "{halted:?}");
+        assert!(!halted.halt_requested);
+        assert!(service.checkpoint_path(id).exists());
+        service.resume(id).unwrap();
+        let done = wait_state(&service, id, JobState::Done, Duration::from_secs(120));
+        assert_eq!(done.completed, done.total);
+        assert!(done.passed, "{}", done.detail);
+        let halts = sub
+            .drain(usize::MAX)
+            .iter()
+            .filter(|f| f.event.kind() == "halted")
+            .count();
+        assert_eq!(halts, 1, "halts once, not at every later boundary");
+
+        // The explorer halts the same way.
+        let status = service
+            .submit(JobSpec::Explore {
+                nodes: 4,
+                rounds: 24,
+                budget: 12,
+                seed: 7,
+                chunk: 5,
+                halt_after: Some(5),
+            })
+            .unwrap();
+        let halted = wait_state(
+            &service,
+            status.id,
+            JobState::Halted,
+            Duration::from_secs(120),
+        );
+        assert_eq!(halted.completed, 5);
+        service.resume(status.id).unwrap();
+        let done = wait_state(
+            &service,
+            status.id,
+            JobState::Done,
+            Duration::from_secs(120),
+        );
+        assert_eq!(done.completed, 12);
+        service.shutdown_wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_without_halt_after_still_parse() {
+        let old = r#"{"Campaign":{"nodes":8,"reps":4,"base_seed":1,"threads":2,"chunk":3}}"#;
+        let spec: JobSpec = serde_json::from_str(old).unwrap();
+        assert_eq!(spec.halt_after(), None);
+        let old = r#"{"Explore":{"nodes":4,"rounds":24,"budget":9,"seed":7,"chunk":5}}"#;
+        let spec: JobSpec = serde_json::from_str(old).unwrap();
+        assert_eq!(spec.halt_after(), None);
+        let zero = JobSpec::Explore {
+            nodes: 4,
+            rounds: 24,
+            budget: 9,
+            seed: 7,
+            chunk: 5,
+            halt_after: Some(0),
+        };
+        assert!(zero.validate().unwrap_err().contains("halt_after"));
+    }
+
+    #[test]
     fn explore_job_reports_executions() {
         let dir = tmp_dir("explore");
         let service = DiagService::start(&dir).unwrap();
@@ -910,6 +1024,7 @@ mod tests {
                 budget: 12,
                 seed: 7,
                 chunk: 5,
+                halt_after: None,
             })
             .unwrap();
         let done = wait_state(
@@ -935,6 +1050,7 @@ mod tests {
                 base_seed: 0,
                 threads: 1,
                 chunk: 1,
+                halt_after: None,
             })
             .is_err());
         assert!(service.submit(JobSpec::TuneSweep { chunk: 0 }).is_err());

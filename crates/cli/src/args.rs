@@ -1003,6 +1003,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut seed = 0xD1A6_05E5u64;
             let mut threads = 4usize;
             let mut chunk = 25u64;
+            let mut halt_after = None;
             let mut it = rest[1..].iter();
             while let Some(a) = it.next() {
                 let mut val = |name: &str| -> Result<&String, ParseError> {
@@ -1018,11 +1019,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--seed" => seed = parse_num(val("--seed")?, "seed")?,
                     "--threads" => threads = parse_num(val("--threads")?, "threads")?,
                     "--chunk" => chunk = parse_num(val("--chunk")?, "chunk")?,
+                    "--halt-after" => {
+                        halt_after = Some(parse_num(val("--halt-after")?, "halt count")?)
+                    }
                     other => return err(format!("unknown submit flag {other:?}")),
                 }
             }
             if chunk == 0 {
                 return err("--chunk must be positive");
+            }
+            if halt_after == Some(0) {
+                return err("--halt-after must be positive");
             }
             let spec = match kind.as_str() {
                 "campaign" => tt_bench::JobSpec::Campaign {
@@ -1031,6 +1038,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     base_seed: seed,
                     threads,
                     chunk,
+                    halt_after,
                 },
                 "explore" => tt_bench::JobSpec::Explore {
                     nodes,
@@ -1038,7 +1046,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     budget,
                     seed,
                     chunk,
+                    halt_after,
                 },
+                "tune-sweep" if halt_after.is_some() => {
+                    return err("--halt-after applies to campaign and explore jobs")
+                }
                 "tune-sweep" => tt_bench::JobSpec::TuneSweep { chunk },
                 other => {
                     return err(format!(
@@ -1394,8 +1406,12 @@ USAGE:
   ttdiag submit (campaign|explore|tune-sweep)
                   [--nodes N] [--reps N] [--rounds R] [--budget ITERS]
                   [--seed S] [--threads T] [--chunk K] [--socket PATH]
+                  [--halt-after N]
                                            enqueue a job, print its id plus
-                                           the serving host's fingerprint
+                                           the serving host's fingerprint;
+                                           --halt-after (campaign, explore)
+                                           halts it once, at the first chunk
+                                           boundary with >= N items settled
   ttdiag job (list|status ID|halt ID|resume ID) [--socket PATH]
                                            query or control submitted jobs
   ttdiag watch ID [--socket PATH]          live one-line progress summary
@@ -2033,6 +2049,41 @@ mod tests {
                 assert_eq!((rounds, start_delay_ms), (8, 200));
             }
             other => panic!("{other:?}"),
+        }
+    }
+    #[test]
+    fn submit_halt_after_reaches_campaign_and_explore_specs() {
+        let c = parse(&args("submit campaign --reps 4 --chunk 3 --halt-after 6")).unwrap();
+        let Command::Submit { spec, .. } = c else {
+            panic!("{c:?}")
+        };
+        assert_eq!(spec.halt_after(), Some(6));
+        assert!(matches!(
+            spec,
+            tt_bench::JobSpec::Campaign {
+                reps: 4,
+                chunk: 3,
+                ..
+            }
+        ));
+        let c = parse(&args("submit explore --budget 40 --halt-after 10")).unwrap();
+        let Command::Submit { spec, .. } = c else {
+            panic!("{c:?}")
+        };
+        assert_eq!(spec.halt_after(), Some(10));
+        // Without the flag nothing halts by itself.
+        let c = parse(&args("submit campaign")).unwrap();
+        let Command::Submit { spec, .. } = c else {
+            panic!("{c:?}")
+        };
+        assert_eq!(spec.halt_after(), None);
+        for bad in [
+            "submit campaign --halt-after 0",
+            "submit campaign --halt-after x",
+            "submit explore --halt-after",
+            "submit tune-sweep --halt-after 2",
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad}");
         }
     }
 }

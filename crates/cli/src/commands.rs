@@ -225,6 +225,22 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 .map_err(|e| internal(format!("reading {trace}: {e}")))?;
             let restored: tt_sim::Trace = serde_json::from_str(&body)
                 .map_err(|e| internal(format!("parsing {trace}: {e}")))?;
+            // A sender outside the cluster never transmits, so its faults
+            // would vanish from the replay without a trace of it.
+            if let Some(sender) = restored
+                .records()
+                .iter()
+                .map(|r| r.sender)
+                .filter(|s| s.index() >= nodes)
+                .max_by_key(|s| s.index())
+            {
+                return Err(usage(format!(
+                    "replay: {trace} records sender node {} but --nodes is {nodes}; \
+                     replay it with --nodes {} or more",
+                    sender.index() + 1,
+                    sender.index() + 1
+                )));
+            }
             let pipeline = Box::new(restored.replay_pipeline());
             simulate(nodes, rounds, penalty, reward, timeline, pipeline, None)
         }

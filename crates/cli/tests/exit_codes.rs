@@ -163,6 +163,60 @@ fn missing_replay_trace_is_an_internal_error() {
     assert!(stderr.contains("no-such"), "error names the path: {stderr}");
 }
 
+/// Records a 6-node trace with a crash on node 6 into a fresh temp file.
+fn six_node_trace(name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("ttdiag-{}-{name}.json", std::process::id()));
+    let out = ttdiag()
+        .args([
+            "simulate",
+            "--nodes",
+            "6",
+            "--rounds",
+            "20",
+            "--penalty",
+            "3",
+        ])
+        .args(["--fault", "crash:6@5", "--record"])
+        .arg(&path)
+        .output()
+        .expect("spawn ttdiag");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    path
+}
+
+#[test]
+fn replay_on_a_smaller_cluster_than_recorded_is_a_usage_error() {
+    let path = six_node_trace("smaller");
+    let out = ttdiag()
+        .arg("replay")
+        .arg(&path)
+        .args(["--nodes", "4", "--rounds", "20", "--penalty", "3"])
+        .output()
+        .expect("spawn ttdiag");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("sender node 6"),
+        "names the sender: {stderr}"
+    );
+}
+
+#[test]
+fn replay_on_the_recorded_cluster_size_exits_zero() {
+    let path = six_node_trace("same");
+    let out = ttdiag()
+        .arg("replay")
+        .arg(&path)
+        .args(["--nodes", "6", "--rounds", "20", "--penalty", "3"])
+        .output()
+        .expect("spawn ttdiag");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("Faulty slots on the bus: 0"), "{stdout}");
+}
+
 #[test]
 fn chaos_campaign_with_quarantines_still_exits_zero() {
     let out = ttdiag()

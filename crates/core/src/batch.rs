@@ -8,8 +8,29 @@
 //! `u64` bitmasks, and both the H-maj column vote and the Alg. 2 counter
 //! update run as branch-free bulk loops over lanes (the per-lane "branches"
 //! are 0/1 flags widened to all-ones masks and ANDed in, so the compiler
-//! can auto-vectorize them). The vote tallies every column at once in
-//! `⌈N/8⌉` words of byte counters per lane.
+//! can auto-vectorize them).
+//!
+//! The work of a diagnosed round follows its accusations, not `N²`:
+//!
+//! * **Accused columns.** Every observer's matrix is the bus rows it
+//!   accepted (shared by all observers) plus its own row, so one OR pass
+//!   over the bus rows and the own rows finds every column that some row
+//!   accuses in some live lane. Only those columns, and each observer's own
+//!   column, are resolved. Any other column is a unanimous healthy vote:
+//!   the observer's forced own row always votes on it.
+//! * **Accuser sets.** For each accused column `j`, one pass over the bus
+//!   rows packs the rows accusing `j` into a lane mask (bit `r` = row `r`
+//!   says `j` is faulty), shared by all observers. An observer's count of
+//!   votes against `j` is then the popcount of that mask, with its own row
+//!   swapped in, under its present rows and without row `j`'s
+//!   self-opinion.
+//! * **Pending subjects.** Alg. 2 is the identity for a subject with a
+//!   healthy verdict and no penalty, so the update runs only for subjects
+//!   with a faulty verdict in some live lane or a penalty pending in some
+//!   lane (a per-observer mask the update keeps).
+//!
+//! Dense traffic (every column accused) runs the same code with every
+//! column selected.
 //!
 //! The batched protocol reproduces the scalar `DiagJob` byte for byte under
 //! the scalar engine's standard configuration: schedule offset 0 for every
@@ -34,6 +55,7 @@ use std::hash::Hasher;
 use tt_sim::{BatchLanes, Fnv1a64, LockstepJob, NodeId, RoundIndex};
 
 use crate::protocol::{CounterSample, HealthRecord, IsolationEvent};
+use crate::syndrome::bits;
 
 /// Diagnosis lag of the supported (mixed-alignment) configuration: the
 /// activation of round `k` diagnoses round `k - 3`.
@@ -87,36 +109,30 @@ pub struct BatchDiagJob {
     fps: Vec<Vec<u64>>,
     /// Per-lane running hasher of the current round (scratch).
     hashers: Vec<Fnv1a64>,
+    /// Per observer: the subjects with a nonzero penalty in some live lane
+    /// where they are still active — where Alg. 2 is not the identity even
+    /// on a healthy verdict. Kept by [`update`].
+    pending: Vec<u64>,
+    /// The columns some row accuses in some live lane, this round.
+    accused: u64,
+    /// Accuser sets per column, `[j * b + lane]`: bit `r` set = bus row `r`
+    /// says subject `j` is faulty. Filled for the `accused` columns, zero
+    /// for every other column.
+    accusers: Vec<u64>,
     // Per-lane scratch arrays, allocated once.
     rp: Vec<u64>,
     pc: Vec<u32>,
-    /// Column tally, `⌈N/8⌉` words per lane (see [`vote`]).
-    acc: Vec<u64>,
     hv: Vec<u64>,
     coll: Vec<u64>,
     iso: Vec<u64>,
 }
 
-/// Spreads the low 8 bits of `m` into the 8 bytes of a `u64` (byte `j` =
-/// bit `j` of `m`, as 0/1) — the SWAR step of the bit-sliced column tally.
-///
-/// The multiply replicates `m` into every byte, the diagonal mask keeps bit
-/// `j` in byte `j`, and the `+ 0x7F` / `>> 7` pair normalizes each surviving
-/// bit to 1 (no carry can cross a byte: the per-byte sum is at most
-/// `0x80 + 0x7F`).
-#[inline]
-fn spread8(m: u64) -> u64 {
-    let t = m.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
-    (t.wrapping_add(0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101
-}
-
 /// Observer `i`'s diagnostic matrix of one diagnosed round, across all
 /// lanes: the inputs of its H-maj vote.
 struct Matrix<'a> {
-    lanes: &'a BatchLanes,
     i: usize,
     /// The observer's own row: what it sent itself, which replaces its
-    /// received copy (a node always knows what it sent — Lemma 3).
+    /// bus row (a node always knows what it sent — Lemma 3).
     own: &'a [u64],
     /// Present rows per lane (bit `r` set = row `r` votes).
     present: &'a [u64],
@@ -124,17 +140,11 @@ struct Matrix<'a> {
     count: &'a [u32],
     /// The observer's collision detector of the diagnosed round per lane.
     coll: &'a [u64],
-}
-
-impl<'a> Matrix<'a> {
-    /// Row `r` across all lanes.
-    fn row(&self, r: usize) -> &'a [u64] {
-        if r == self.i {
-            self.own
-        } else {
-            self.lanes.syndrome_row(self.i, r)
-        }
-    }
+    /// The bus rows' accuser sets, `[j * b + lane]` (zero outside
+    /// `accused`).
+    accusers: &'a [u64],
+    accused: u64,
+    node_mask: u64,
 }
 
 /// H-maj votes every column of observer `i`'s matrix into `hv`: majority
@@ -143,13 +153,11 @@ impl<'a> Matrix<'a> {
 /// an undecidable own column falls back to the collision detector of the
 /// diagnosed round (Alg. 1 line 14).
 ///
-/// Bit-sliced tally: one pass over the rows accumulates every column at
-/// once. Byte `j % 8` of `acc[(j / 8) * b + lane]` counts the ok votes for
-/// subject `j` over all present rows, *including* row `j`'s self-opinion,
-/// which the resolution pass subtracts back out. A byte never holds more
-/// than `N ≤ 64` votes, so no carry crosses into the next subject. The
-/// tally visits `N` rows of `C = ⌈N/8⌉` words each for all `N` columns at
-/// once; `C` is a compile-time constant so the word loop unrolls.
+/// Only the accused columns and the own column are counted; every other
+/// column is a unanimous healthy vote. Column `j`'s votes against are the
+/// present rows other than `j` in its accuser set, with the observer's own
+/// row in place of its bus row; it is healthy when they are at most half
+/// of the votes cast.
 ///
 /// Kept out of line, like [`update`]: as parameters, the `&mut` lane
 /// arrays they write are known to alias nothing they read. Inlined into
@@ -157,34 +165,21 @@ impl<'a> Matrix<'a> {
 /// of both compiled to scalar code, 2.6× slower per lane-round at N = 16
 /// on an AVX-512 host.
 #[inline(never)]
-fn vote<const C: usize>(hv: &mut [u64], acc: &mut [u64], m: &Matrix<'_>) {
+fn vote(hv: &mut [u64], m: &Matrix<'_>) {
     let b = hv.len();
-    let n = m.lanes.n_nodes();
-    let (present, count, coll) = (&m.present[..b], &m.count[..b], &m.coll[..b]);
-    let acc = &mut acc[..C * b];
-    acc.fill(0);
-    for r in 0..n {
-        let row = &m.row(r)[..b];
-        for c in 0..C {
-            let word = &mut acc[c * b..c * b + b];
-            for ((a, &x), &p) in word.iter_mut().zip(row).zip(present) {
-                let pr = 0u64.wrapping_sub((p >> r) & 1);
-                *a += spread8((x & pr) >> (8 * c) & 0xFF);
-            }
-        }
-    }
-    for j in 0..n {
-        let rowj = &m.row(j)[..b];
-        let word = &acc[(j / 8) * b..(j / 8) * b + b];
-        let shift = 8 * (j % 8);
+    let (own, present, count, coll) = (&m.own[..b], &m.present[..b], &m.count[..b], &m.coll[..b]);
+    hv.fill(m.node_mask);
+    let own_bit = 1u64 << m.i;
+    for j in bits(m.accused | own_bit) {
         let bit = 1u64 << j;
+        let accusers = &m.accusers[j * b..j * b + b];
         let own_column = (j == m.i) as u64;
         for lane in 0..b {
-            let present_j = (present[lane] >> j) & 1;
-            let self_vote = ((rowj[lane] >> j) & present_j) as u32;
-            let okc = ((word[lane] >> shift) & 0xFF) as u32 - self_vote;
-            let votes = count[lane] - present_j as u32;
-            let voted = (2 * okc >= votes) as u64;
+            let rows = present[lane];
+            let own_accuses = ((!own[lane] >> j) & 1) << m.i;
+            let against = ((accusers[lane] & !own_bit) | own_accuses) & rows & !bit;
+            let votes = count[lane] - ((rows >> j) & 1) as u32;
+            let voted = (votes >= 2 * against.count_ones()) as u64;
             let undecidable = (votes == 0) as u64;
             // Undecidable is only reachable on the own column (the forced
             // own row votes on every other column).
@@ -212,23 +207,31 @@ struct UpdateInputs<'a> {
 /// on a faulty verdict, rewards accrue on healthy verdicts with a pending
 /// penalty, reaching R forgives, exceeding P isolates (bit `j` of `iso`).
 /// Retired lanes and already-isolated subjects mask out. `pen` and `rew`
-/// are the observer's counters, `[j * b + lane]`. Out of line for the
-/// reason given at [`vote`].
+/// are the observer's counters, `[j * b + lane]`.
+///
+/// Runs for the `subjects` mask only — the caller passes every subject for
+/// which the update is not the identity — and keeps the observer's
+/// `pending` mask current for them. Out of line for the reason given at
+/// [`vote`].
 #[inline(never)]
 fn update(
     pen: &mut [u64],
     rew: &mut [u64],
     iso: &mut [u64],
     fgv: &mut [u64],
+    pending: &mut u64,
+    subjects: u64,
     v: &UpdateInputs<'_>,
 ) {
     let b = iso.len();
     let fgv = &mut fgv[..b];
     let (active, live, hv) = (&v.active[..b], &v.live[..b], &v.hv[..b]);
     let (pthresh, rthresh) = (&v.pthresh[..b], &v.rthresh[..b]);
-    for (j, &crit) in v.crit.iter().enumerate() {
+    for j in bits(subjects) {
+        let crit = v.crit[j];
         let pen = &mut pen[j * b..j * b + b];
         let rew = &mut rew[j * b..j * b + b];
+        let mut still = 0u64;
         for lane in 0..b {
             let act = (active[lane] >> j) & live[lane];
             let hvj = (hv[lane] >> j) & 1;
@@ -245,8 +248,11 @@ fn update(
             pen[lane] = p1 & keep;
             rew[lane] = r1 & keep;
             fgv[lane] += forgive;
-            iso[lane] |= (faulty & (p1 > pthresh[lane]) as u64) << j;
+            let isolated = faulty & (p1 > pthresh[lane]) as u64;
+            iso[lane] |= isolated << j;
+            still |= (pen[lane] != 0) as u64 & act & (isolated ^ 1);
         }
+        *pending = (*pending & !(1u64 << j)) | (still << j);
     }
 }
 
@@ -288,9 +294,11 @@ impl BatchDiagJob {
             fingerprint: false,
             fps: vec![Vec::new(); b],
             hashers: vec![Fnv1a64::new(); b],
+            pending: vec![0; n],
+            accused: 0,
+            accusers: vec![0; n * b],
             rp: vec![0; b],
             pc: vec![0; b],
-            acc: vec![0; n.div_ceil(8) * b],
             hv: vec![0; b],
             coll: vec![0; b],
             iso: vec![0; b],
@@ -427,6 +435,37 @@ impl LockstepJob for BatchDiagJob {
 }
 
 impl BatchDiagJob {
+    /// Finds this round's accused columns — the zero bits of every bus row
+    /// and every own row, over the live lanes — and packs each one's
+    /// accuser set from the bus rows, leaving every other column's set
+    /// zero.
+    fn find_accusers(&mut self, lanes: &BatchLanes) {
+        let (n, b) = (self.n, self.b);
+        let live = &lanes.live()[..b];
+        let mut accused = 0u64;
+        for r in 0..n {
+            let bus = &lanes.bus_row(r)[..b];
+            let own = &self.row_prev[r * b..r * b + b];
+            for lane in 0..b {
+                accused |= !(bus[lane] & own[lane]) & 0u64.wrapping_sub(live[lane]);
+            }
+        }
+        accused &= lanes.node_mask();
+        for j in bits(self.accused) {
+            self.accusers[j * b..j * b + b].fill(0);
+        }
+        for j in bits(accused) {
+            let set = &mut self.accusers[j * b..j * b + b];
+            for r in 0..n {
+                let bus = &lanes.bus_row(r)[..b];
+                for (a, &x) in set.iter_mut().zip(bus) {
+                    *a |= ((!x >> j) & 1) << r;
+                }
+            }
+        }
+        self.accused = accused;
+    }
+
     /// H-maj votes every matrix column and applies Alg. 2, for every
     /// observer and lane, for diagnosed round `k - 3`.
     fn analyze(&mut self, lanes: &mut BatchLanes, k: u64) {
@@ -437,6 +476,8 @@ impl BatchDiagJob {
         if self.fingerprint {
             self.hashers.fill(Fnv1a64::new());
         }
+        self.find_accusers(lanes);
+        let node_mask = lanes.node_mask();
         for i in 0..n {
             // Present matrix rows: validity ∧ ever-received, with the
             // observer's own row forced in (a node always knows what it
@@ -454,54 +495,58 @@ impl BatchDiagJob {
                 }
             }
             let m = Matrix {
-                lanes,
                 i,
                 own: &self.row_prev[i * b..i * b + b],
                 present: &self.rp[..b],
                 count: &self.pc[..b],
                 coll: &self.coll[..b],
+                accusers: &self.accusers,
+                accused: self.accused,
+                node_mask,
             };
-            let (hv, acc) = (&mut self.hv[..b], &mut self.acc);
-            match n.div_ceil(8) {
-                1 => vote::<1>(hv, acc, &m),
-                2 => vote::<2>(hv, acc, &m),
-                3 => vote::<3>(hv, acc, &m),
-                4 => vote::<4>(hv, acc, &m),
-                5 => vote::<5>(hv, acc, &m),
-                6 => vote::<6>(hv, acc, &m),
-                7 => vote::<7>(hv, acc, &m),
-                _ => vote::<8>(hv, acc, &m),
-            }
-            self.iso[..b].fill(0);
-            let counters = i * n * b..(i + 1) * n * b;
-            update(
-                &mut self.pen[counters.clone()],
-                &mut self.rew[counters],
-                &mut self.iso[..b],
-                &mut self.fgv[..b],
-                &UpdateInputs {
-                    active: lanes.active_row(i),
-                    live: lanes.live(),
-                    hv: &self.hv[..b],
-                    crit: &self.crit,
-                    pthresh: &self.pthresh,
-                    rthresh: &self.rthresh,
-                },
-            );
-            // Isolation decisions: clear the observer's activity bits and
-            // record the events (node order, like the scalar newly-isolated
-            // sweep). Rare, so a per-lane branch on the zero mask is fine.
+            vote(&mut self.hv[..b], &m);
+            // Alg. 2 moves only the counters of subjects found faulty in a
+            // live lane where they are active, or with a penalty pending.
+            let active = &lanes.active_row(i)[..b];
+            let live = &lanes.live()[..b];
+            let hv = &self.hv[..b];
+            let mut faulty = 0u64;
             for lane in 0..b {
-                let mut mask = self.iso[lane];
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    lanes.isolate(i, j, lane);
-                    self.isolations[lane * n + i].push(IsolationEvent {
-                        node: NodeId::from_slot(j),
-                        decided_at: RoundIndex::new(k),
-                        diagnosed: RoundIndex::new(diagnosed),
-                    });
+                faulty |= !hv[lane] & active[lane] & 0u64.wrapping_sub(live[lane]);
+            }
+            let subjects = (faulty & node_mask) | self.pending[i];
+            if subjects != 0 {
+                self.iso[..b].fill(0);
+                let counters = i * n * b..(i + 1) * n * b;
+                update(
+                    &mut self.pen[counters.clone()],
+                    &mut self.rew[counters],
+                    &mut self.iso[..b],
+                    &mut self.fgv[..b],
+                    &mut self.pending[i],
+                    subjects,
+                    &UpdateInputs {
+                        active: lanes.active_row(i),
+                        live: lanes.live(),
+                        hv: &self.hv[..b],
+                        crit: &self.crit,
+                        pthresh: &self.pthresh,
+                        rthresh: &self.rthresh,
+                    },
+                );
+                // Isolation decisions: clear the observer's activity bits
+                // and record the events (node order, like the scalar
+                // newly-isolated sweep). Rare, so a per-lane branch on the
+                // zero mask is fine.
+                for lane in 0..b {
+                    for j in bits(self.iso[lane]) {
+                        lanes.isolate(i, j, lane);
+                        self.isolations[lane * n + i].push(IsolationEvent {
+                            node: NodeId::from_slot(j),
+                            decided_at: RoundIndex::new(k),
+                            diagnosed: RoundIndex::new(diagnosed),
+                        });
+                    }
                 }
             }
             if self.record {
@@ -763,10 +808,10 @@ mod tests {
 
     #[test]
     fn wide_column_verdict_flips_at_the_majority_boundary() {
-        // N = 16: subject 12's votes land in the second tally word. One
+        // N = 16: subject 12 sits in the second syndrome byte. One
         // asymmetric fault on its slot is detected by 7 of its 15
         // receivers in lane 0 (8 of 15 ok votes: healthy) and by 8 in
-        // lane 1 (7 of 15: faulty). The detectors span both words.
+        // lane 1 (7 of 15: faulty). The detectors span both bytes.
         let (n, sender, round) = (16, 12, 6);
         let receivers: Vec<usize> = (0..n).filter(|&r| r != sender).step_by(2).collect();
         let detectors = [&receivers[..7], &receivers[..8]];

@@ -35,7 +35,7 @@ use tt_sim::{
     TxCtx,
 };
 
-use crate::syndrome::{Syndrome, MAX_SYNDROME_NODES};
+use crate::syndrome::{bits, Syndrome, MAX_SYNDROME_NODES};
 use crate::voting::{h_maj_counts, HMaj};
 
 /// A per-slot diagnosis produced by the low-latency variant.
@@ -69,17 +69,6 @@ impl SlotVerdict {
 struct VoteTable {
     ok: u64,
     faulty: u64,
-}
-
-/// The indices of the set bits of `mask`, lowest first.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            i
-        })
-    })
 }
 
 /// The mask of an `n`-node cluster: one bit per node.

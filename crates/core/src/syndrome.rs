@@ -21,6 +21,17 @@ use tt_sim::NodeId;
 /// packed representation).
 pub const MAX_SYNDROME_NODES: usize = 64;
 
+/// The indices of the set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// A local syndrome: one boolean opinion per node, `true` = "message
 /// received correctly" (the paper's 1), `false` = "faulty" (the paper's 0).
 ///

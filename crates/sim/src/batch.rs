@@ -3,12 +3,12 @@
 //! [`BatchCluster`] runs `B` *independent* clusters — all with the same node
 //! count `N` and the same TDMA round schedule — through their rounds
 //! simultaneously. Controller state is stored as structure-of-arrays: for
-//! every per-(observer, sender) quantity there is one contiguous `[u64; B]`
-//! lane array, so the per-slot reception update and the per-round protocol
-//! kernels become branch-light bulk loops over lanes that the compiler can
-//! auto-vectorize. One u64 per lane packs the per-sender bits (bit `j` =
-//! sender `j`), which caps the batched engine at `N ≤ 64` nodes — the same
-//! bound as the scalar `Copy` syndrome bitset.
+//! every per-observer or per-sender quantity there is one contiguous
+//! `[u64; B]` lane array, so the round's reception update and the
+//! per-round protocol kernels become branch-light bulk loops over lanes
+//! that the compiler can auto-vectorize. One u64 per lane packs the
+//! per-sender bits (bit `j` = sender `j`), which caps the batched engine at
+//! `N ≤ 64` nodes — the same bound as the scalar `Copy` syndrome bitset.
 //!
 //! The substrate in this module is protocol-agnostic: it models exactly what
 //! the scalar [`Controller`](crate::Controller) + engine pair does per slot
@@ -17,10 +17,34 @@
 //! — the batched counterpart of [`Job`](crate::Job). The batched diagnostic
 //! protocol lives in `tt-core` and drives this state machine.
 //!
+//! A round's `N` slots are resolved in one *slot phase* whose cost follows
+//! the faults, not the slot × receiver product:
+//!
+//! * **Bus rows.** Every sender's frame reaches every receiver with the same
+//!   value, so the engine keeps one [`BatchLanes::bus_row`] per sender (the
+//!   value on the bus in the last round) instead of one copy per observer.
+//!   A receiver reads row `r` only through its validity bit for `r`, which
+//!   is set exactly when it accepted that frame, and the scalar
+//!   `read_and_align` treats an invalid row as ε — so a per-observer copy
+//!   holds nothing a reader can see that the bus row does not.
+//! * **Every frame accepted, then the faults.** Each live lane starts from a
+//!   fault-free round: observer `i` accepts every active sender but itself,
+//!   and its own bit comes from the collision detector. Only the faults due
+//!   in this round then act: a benign or asymmetric fault marks the frame
+//!   detected by its receivers (and may clear the sender's collision bit),
+//!   a malicious one overrides that lane's bus value. Validity, presence
+//!   and the collision ring are then written once per (observer, lane).
+//! * **Due-round cursors.** Each scheduled fault carries the next round it
+//!   strikes and the strikes it has left, so finding the round's faults is
+//!   a comparison per fault, skipped outright while no fault is due;
+//!   [`LaneFault::covers`] stays as the reference the cursors are tested
+//!   against. Entries are kept in (lane, plan) order, so the first due
+//!   fault of a (lane, slot) wins, as in `tt-fault`'s schedule pipeline.
+//!
 //! Divergent lanes are handled with a per-lane *live* mask: a retired lane
 //! (its experiment ran out of rounds, or the caller retired it with
 //! [`BatchCluster::retire_lane`]) keeps its state frozen bit-for-bit while
-//! the remaining lanes continue — the masked updates multiply every write
+//! the remaining lanes continue — the masked updates select the old value
 //! by the lane's live flag instead of branching.
 //!
 //! Scalar-only paths: provenance tracing, metrics sinks and per-cluster
@@ -41,6 +65,10 @@ pub const MAX_BATCH_NODES: usize = 64;
 /// four rounds of history cover the query window with the round currently
 /// being written.
 const COLLISION_RING: usize = 4;
+
+/// The due round of a fault with no strikes left: a round the engine's
+/// counter never reaches.
+const NEVER: u64 = u64::MAX;
 
 /// The pre-decoded per-lane effect of one faulty transmission slot.
 ///
@@ -88,7 +116,8 @@ pub struct LaneFault {
 }
 
 impl LaneFault {
-    /// Whether this fault covers the transmission of `slot` in `round`.
+    /// Whether this fault covers the transmission of `slot` in `round`: the
+    /// reference definition the engine's due-round cursors reproduce.
     #[inline]
     pub fn covers(&self, round: u64, slot: usize) -> bool {
         if slot != self.slot || round < self.first_round {
@@ -162,9 +191,9 @@ pub struct BatchLanes {
     present: Vec<u64>,
     /// Activity mask per (observer, subject bit): `[i * b + lane]`.
     active: Vec<u64>,
-    /// Last successfully received syndrome mask per (observer `i`,
-    /// sender `r`): `[(i * n + r) * b + lane]`.
-    syn: Vec<u64>,
+    /// The value on the bus in sender `r`'s slot of the last round (the
+    /// transmit buffer, or a malicious fault's payload): `[r * b + lane]`.
+    bus: Vec<u64>,
     /// Transmit buffer (decoded mask) per sender `p`: `[p * b + lane]`.
     tx: Vec<u64>,
     /// Collision-detector ring: `[(round % COLLISION_RING) * b + lane]`,
@@ -185,7 +214,7 @@ impl BatchLanes {
             validity: vec![0; n * b],
             present: vec![0; n * b],
             active: vec![mask; n * b],
-            syn: vec![0; n * n * b],
+            bus: vec![0; n * b],
             tx: vec![0; n * b],
             collisions: vec![0; COLLISION_RING * b],
             live: vec![1; b],
@@ -259,12 +288,14 @@ impl BatchLanes {
         &self.active[i * self.b..(i + 1) * self.b]
     }
 
-    /// The last successfully received syndrome of sender `r` as seen by
-    /// observer `i`.
+    /// The value sender `r` put on the bus in the last round. Observer `i`
+    /// received exactly this value in a lane where bit `r` of its
+    /// [`validity_row`](Self::validity_row) is set; where the bit is clear,
+    /// it holds no readable copy of `r`'s frame (the scalar alignment reads
+    /// an invalid variable as ε).
     #[inline]
-    pub fn syndrome_row(&self, i: usize, r: usize) -> &[u64] {
-        let base = (i * self.n + r) * self.b;
-        &self.syn[base..base + self.b]
+    pub fn bus_row(&self, r: usize) -> &[u64] {
+        &self.bus[r * self.b..(r + 1) * self.b]
     }
 
     /// Mutable transmit buffer of sender `p` (decoded `N`-bit masks); the
@@ -298,23 +329,39 @@ impl BatchLanes {
     }
 }
 
+/// A scheduled fault's static part, with its lane: what it does, where, and
+/// how often. Its due round lives in `BatchCluster::due`.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    lane: usize,
+    slot: usize,
+    /// Rounds between strikes (at least 1).
+    stride: u64,
+    /// Strikes left, counting the one at the due round.
+    left: u64,
+    effect: LaneEffect,
+}
+
 /// `B` independent clusters advanced in lockstep through the same round
 /// schedule (see the [module docs](self) for the layout and semantics).
 #[derive(Debug, Clone)]
 pub struct BatchCluster {
     lanes: BatchLanes,
     plans: Vec<BatchFaultPlan>,
-    /// Fault index: per sending slot, the `(lane, fault)` pairs that can
-    /// ever strike it, in (lane, plan) order — so the per-slot resolution
-    /// scans only the (sparse) faulty lanes instead of every lane, and
-    /// consecutive same-lane entries implement first-match-wins.
-    by_slot: Vec<Vec<(u32, LaneFault)>>,
-    /// Scratch: per-lane received payload mask of the current slot.
-    pay: Vec<u64>,
-    /// Scratch: per-lane receiver-detection mask (bit `i` = receiver `i`
-    /// detects the frame as invalid).
+    /// Every lane's scheduled faults, in (lane, plan) order.
+    cursors: Vec<Cursor>,
+    /// The next round each cursor strikes (`NEVER` once spent), kept apart
+    /// from the cursors so the per-round search reads one dense array.
+    due: Vec<u64>,
+    /// The earliest entry of `due`: rounds before it strike no fault.
+    next_due: u64,
+    /// Scratch: per-lane slots whose frame every receiver detects (bit `p`).
+    lost: Vec<u64>,
+    /// Scratch: per-(receiver, lane) slots whose frame this receiver alone
+    /// detects, `[i * b + lane]` (asymmetric faults); zero between rounds.
     det: Vec<u64>,
-    /// Scratch: per-lane collision-detector outcome (0/1).
+    /// Scratch: per-lane collision-detector outcomes (bit `p` = sender `p`
+    /// read its own frame back).
     coll: Vec<u64>,
 }
 
@@ -341,19 +388,32 @@ impl BatchCluster {
                 )));
             }
         }
-        let mut by_slot = vec![Vec::new(); n];
-        for (lane, plan) in plans.iter().enumerate() {
-            for f in plan.faults() {
-                by_slot[f.slot].push((lane as u32, *f));
-            }
-        }
+        let (cursors, due): (Vec<Cursor>, Vec<u64>) = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(lane, plan)| plan.faults().iter().map(move |f| (lane, f)))
+            .map(|(lane, f)| {
+                let cursor = Cursor {
+                    lane,
+                    slot: f.slot,
+                    stride: f.stride.max(1),
+                    left: f.hits,
+                    effect: f.effect,
+                };
+                (cursor, if f.hits == 0 { NEVER } else { f.first_round })
+            })
+            .unzip();
+        let lanes = BatchLanes::new(n, b);
+        let coll = vec![lanes.node_mask(); b];
         Ok(BatchCluster {
-            lanes: BatchLanes::new(n, b),
+            lanes,
             plans,
-            by_slot,
-            pay: vec![0; b],
-            det: vec![0; b],
-            coll: vec![0; b],
+            cursors,
+            next_due: due.iter().copied().min().unwrap_or(NEVER),
+            due,
+            lost: vec![0; b],
+            det: vec![0; n * b],
+            coll,
         })
     }
 
@@ -377,106 +437,128 @@ impl BatchCluster {
     }
 
     /// Runs one full round: the job phase (all lanes, via `job`), then the
-    /// `N` transmission slots. Returns `false` when no lane is live (the
-    /// round did not run).
+    /// slot phase of the `N` transmission slots. Returns `false` when no
+    /// lane is live (the round did not run).
     pub fn run_round(&mut self, job: &mut dyn LockstepJob) -> bool {
         if self.lanes.live_count == 0 {
             return false;
         }
         job.execute(&mut self.lanes);
-        let n = self.lanes.n;
         let b = self.lanes.b;
         let k = self.lanes.round;
-        let ring = (k % COLLISION_RING as u64) as usize * b;
-        for p in 0..n {
-            // Resolve each lane's slot effect into the scratch arrays. The
-            // defaults model a correct transmission; the slot's fault index
-            // visits only the lanes with a fault scheduled on this slot, in
-            // (lane, plan) order, so skipping the remaining entries of an
-            // already-matched lane preserves first-match-wins.
-            self.pay.copy_from_slice(&self.lanes.tx[p * b..(p + 1) * b]);
-            self.det.fill(0);
-            self.coll.fill(1);
-            let mut matched = usize::MAX;
-            for &(lane, ref f) in &self.by_slot[p] {
-                let lane = lane as usize;
-                if lane == matched || self.lanes.live[lane] == 0 || !f.covers(k, p) {
-                    continue;
-                }
-                matched = lane;
-                match f.effect {
-                    LaneEffect::Benign => {
-                        self.det[lane] = u64::MAX;
-                        self.coll[lane] = 0;
-                    }
-                    LaneEffect::Malicious { mask } => {
-                        self.pay[lane] = mask;
-                    }
-                    LaneEffect::Asymmetric {
-                        detected_by,
-                        collision_ok,
-                    } => {
-                        self.det[lane] = detected_by;
-                        self.coll[lane] = collision_ok as u64;
-                    }
-                }
-            }
-            let bit = 1u64 << p;
-            // Receivers i != p: the masked, branch-free equivalent of
-            // `Controller::deliver`. An inactive sender or a detected frame
-            // clears the validity bit; a valid reception sets it, marks the
-            // variable present and latches the payload mask. Retired lanes
-            // multiply every write out. Exact-length slice bindings let the
-            // lane loops elide bounds checks and vectorize.
-            let live = &self.lanes.live[..b];
-            let det = &self.det[..b];
-            let pay = &self.pay[..b];
-            for i in 0..n {
-                if i == p {
-                    continue;
-                }
-                let validity = &mut self.lanes.validity[i * b..(i + 1) * b];
-                let present = &mut self.lanes.present[i * b..(i + 1) * b];
-                let active = &self.lanes.active[i * b..(i + 1) * b];
-                let srow = (i * n + p) * b;
-                let syn = &mut self.lanes.syn[srow..srow + b];
-                for lane in 0..b {
-                    let lv = live[lane];
-                    let act = (active[lane] >> p) & 1;
-                    let detected = (det[lane] >> i) & 1;
-                    let ok = act & (detected ^ 1) & lv;
-                    let clear = bit & 0u64.wrapping_sub(lv);
-                    validity[lane] = (validity[lane] & !clear) | (ok << p);
-                    present[lane] |= ok << p;
-                    let m = 0u64.wrapping_sub(ok);
-                    syn[lane] = (syn[lane] & !m) | (pay[lane] & m);
-                }
-            }
-            // Sender self-path: the equivalent of
-            // `Controller::record_collision` — unconditionally latches the
-            // *real* transmit buffer (the node knows what it sent), sets the
-            // own validity bit from the collision detector and records the
-            // observation in the ring.
-            let coll = &self.coll[..b];
-            let validity = &mut self.lanes.validity[p * b..(p + 1) * b];
-            let present = &mut self.lanes.present[p * b..(p + 1) * b];
-            let tx = &self.lanes.tx[p * b..(p + 1) * b];
-            let srow = (p * n + p) * b;
-            let syn = &mut self.lanes.syn[srow..srow + b];
-            let collisions = &mut self.lanes.collisions[ring..ring + b];
-            for lane in 0..b {
-                let lv = live[lane];
-                let c = coll[lane] & lv;
-                let clear = bit & 0u64.wrapping_sub(lv);
-                validity[lane] = (validity[lane] & !clear) | (c << p);
-                present[lane] |= lv << p;
+        // Every sender's transmit buffer goes on the bus; retired lanes keep
+        // their frozen rows. Exact-length slice bindings let the lane loops
+        // elide bounds checks and vectorize.
+        let live = &self.lanes.live[..b];
+        for (bus, tx) in self
+            .lanes
+            .bus
+            .chunks_exact_mut(b)
+            .zip(self.lanes.tx.chunks_exact(b))
+        {
+            for ((x, &t), &lv) in bus.iter_mut().zip(tx).zip(live) {
                 let m = 0u64.wrapping_sub(lv);
-                syn[lane] = (syn[lane] & !m) | (tx[lane] & m);
-                collisions[lane] = (collisions[lane] & !clear) | (c << p);
+                *x = (*x & !m) | (t & m);
             }
+        }
+        self.lost.fill(0);
+        self.coll.fill(self.lanes.node_mask());
+        if k >= self.next_due {
+            self.strike_due_faults(k);
+        }
+        // Receptions: the masked, branch-free equivalent of every slot's
+        // `Controller::deliver` and `Controller::record_collision`. Observer
+        // `i` accepts each active sender's frame unless it detected it, and
+        // learns its own from the collision detector; an accepted frame
+        // marks its variable present (the own one always is).
+        let live = &self.lanes.live[..b];
+        let (lost, coll) = (&self.lost[..b], &self.coll[..b]);
+        for i in 0..self.lanes.n {
+            let own = 1u64 << i;
+            let rows = i * b..(i + 1) * b;
+            let validity = &mut self.lanes.validity[rows.clone()];
+            let present = &mut self.lanes.present[rows.clone()];
+            let active = &self.lanes.active[rows.clone()];
+            let det = &mut self.det[rows];
+            for lane in 0..b {
+                let m = 0u64.wrapping_sub(live[lane]);
+                let heard = active[lane] & !own & !(lost[lane] | det[lane]);
+                let v = heard | (coll[lane] & own);
+                validity[lane] = (validity[lane] & !m) | (v & m);
+                present[lane] |= (v | own) & m;
+                det[lane] = 0;
+            }
+        }
+        let ring = (k % COLLISION_RING as u64) as usize * b;
+        let collisions = &mut self.lanes.collisions[ring..ring + b];
+        for ((c, &x), &lv) in collisions.iter_mut().zip(coll).zip(live) {
+            let m = 0u64.wrapping_sub(lv);
+            *c = (*c & !m) | (x & m);
         }
         self.lanes.round += 1;
         true
+    }
+
+    /// Applies every fault due in round `k` to the slot-phase scratch (and
+    /// malicious payloads to the bus rows), then moves each past `k`.
+    ///
+    /// Cursors run in (lane, plan) order, so the first due fault of a
+    /// (lane, slot) is the one that acts — the first match of the plan's
+    /// [`LaneFault::covers`] scan — while every due cursor still advances.
+    /// A retired lane's cursors are dropped: the lane never runs again.
+    fn strike_due_faults(&mut self, k: u64) {
+        let b = self.lanes.b;
+        let node_mask = self.lanes.node_mask();
+        let mut next = NEVER;
+        let mut lane_seen = usize::MAX;
+        let mut struck = 0u64;
+        for (due, c) in self.due.iter_mut().zip(&mut self.cursors) {
+            if *due == k {
+                if self.lanes.live[c.lane] == 0 {
+                    *due = NEVER;
+                    continue;
+                }
+                if c.lane != lane_seen {
+                    lane_seen = c.lane;
+                    struck = 0;
+                }
+                let bit = 1u64 << c.slot;
+                if struck & bit == 0 {
+                    struck |= bit;
+                    let lane = c.lane;
+                    match c.effect {
+                        LaneEffect::Benign => {
+                            self.lost[lane] |= bit;
+                            self.coll[lane] &= !bit;
+                        }
+                        LaneEffect::Malicious { mask } => {
+                            self.lanes.bus[c.slot * b + lane] = mask;
+                        }
+                        LaneEffect::Asymmetric {
+                            detected_by,
+                            collision_ok,
+                        } => {
+                            let mut receivers = detected_by & node_mask & !bit;
+                            while receivers != 0 {
+                                let i = receivers.trailing_zeros() as usize;
+                                receivers &= receivers - 1;
+                                self.det[i * b + lane] |= bit;
+                            }
+                            if !collision_ok {
+                                self.coll[lane] &= !bit;
+                            }
+                        }
+                    }
+                }
+                c.left -= 1;
+                *due = match c.left {
+                    0 => NEVER,
+                    _ => k.checked_add(c.stride).unwrap_or(NEVER),
+                };
+            }
+            next = next.min(*due);
+        }
+        self.next_due = next;
     }
 
     /// Runs `rounds` full rounds (stopping early if every lane retires);
@@ -560,9 +642,12 @@ mod tests {
             for lane in 0..3 {
                 assert_eq!(lanes.validity_row(i)[lane], 0b1111, "observer {i}");
                 assert_eq!(lanes.present_row(i)[lane], 0b1111);
-                for r in 0..4 {
-                    assert_eq!(lanes.syndrome_row(i, r)[lane], 0b1010);
-                }
+            }
+        }
+        // Every row is valid at every observer, so each reads the bus row.
+        for r in 0..4 {
+            for lane in 0..3 {
+                assert_eq!(lanes.bus_row(r)[lane], 0b1010);
             }
         }
         // Collision ring: all four own transmissions fine.
@@ -609,11 +694,14 @@ mod tests {
         let mut job = Constant(0b1111);
         c.run_round(&mut job);
         let lanes = c.lanes();
+        // Every receiver accepts the forged payload: the bus row carries it.
+        assert_eq!(lanes.bus_row(1)[0], 0b0001, "forged payload received");
         for i in 0..4 {
-            let expect = if i == 1 { 0b1111 } else { 0b0001 };
-            assert_eq!(lanes.syndrome_row(i, 1)[0], expect, "observer {i}");
             assert_eq!(lanes.validity_row(i)[0], 0b1111, "accepted as valid");
         }
+        // The sender's real transmit buffer is untouched (what it knows it
+        // sent is the job's own row, not a bus read).
+        assert_eq!(c.lanes.tx[1], 0b1111, "real payload kept");
     }
 
     #[test]
@@ -653,7 +741,12 @@ mod tests {
         let lanes = c.lanes();
         assert_eq!(lanes.validity_row(3)[0], 0b1101, "validity forced off");
         assert_eq!(lanes.validity_row(3)[1], 0b1111, "other lane unaffected");
-        assert_eq!(lanes.syndrome_row(3, 1)[0], 0b1111, "stale value kept");
+        // Observer 3 cannot read node 1's row in lane 0 (validity bit
+        // clear); node 1 itself still transmits its real buffer, which the
+        // other observers read.
+        assert_eq!(lanes.validity_row(3)[0] & 0b0010, 0, "row unreadable");
+        assert_eq!(c.lanes.tx[2], 0b1111, "sender's tx untouched");
+        assert_eq!(lanes.bus_row(1)[0], 0b1111, "others read the real frame");
         assert_eq!(lanes.active_row(3)[0], 0b1101);
     }
 
@@ -671,16 +764,16 @@ mod tests {
         c.run_rounds(2, &mut job);
         c.retire_lane(0);
         let frozen: Vec<u64> = c.lanes.validity.clone();
-        let frozen_syn: Vec<u64> = c.lanes.syn.clone();
+        let frozen_bus: Vec<u64> = c.lanes.bus.clone();
         c.run_rounds(3, &mut job);
         let lanes = c.lanes();
         assert_eq!(lanes.live_count(), 1);
         assert!(!lanes.is_live(0));
         for i in 0..4 {
             assert_eq!(lanes.validity_row(i)[0], frozen[i * 2], "lane 0 frozen");
-            for r in 0..4 {
-                assert_eq!(lanes.syndrome_row(i, r)[0], frozen_syn[(i * 4 + r) * 2]);
-            }
+        }
+        for r in 0..4 {
+            assert_eq!(lanes.bus_row(r)[0], frozen_bus[r * 2], "bus row frozen");
         }
         // Lane 1 kept running: the persistent benign fault on slot 3 keeps
         // its validity bit down.
@@ -702,6 +795,89 @@ mod tests {
         // Lane 0 ran exactly 2 rounds, lane 1 all 5.
         assert_eq!(c.lanes().validity_row(0)[0], 0b1111);
         assert_eq!(c.lanes().validity_row(0)[1], 0b1111);
+    }
+
+    /// SplitMix64: the seeded draws of the cursor parity test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random plan over `n` slots: several faults share one slot so
+    /// same-lane overlaps are common, and stride, hits and first round
+    /// come from edge-heavy menus.
+    fn random_plan(n: usize, seed: &mut u64) -> BatchFaultPlan {
+        let pick = |seed: &mut u64, menu: &[u64]| menu[splitmix(seed) as usize % menu.len()];
+        let hot = splitmix(seed) as usize % n;
+        let faults = (0..splitmix(seed) % 6)
+            .map(|f| {
+                let r = splitmix(seed);
+                LaneFault {
+                    slot: if r.is_multiple_of(3) {
+                        r as usize % n
+                    } else {
+                        hot
+                    },
+                    first_round: pick(seed, &[0, 0, 3, 17, 250, 299, 300, 1 << 40, u64::MAX]),
+                    hits: pick(seed, &[0, 1, 1, 2, 5, u64::MAX, u64::MAX]),
+                    stride: pick(seed, &[0, 1, 1, 2, 3, 7, 150, 1 << 62, u64::MAX]),
+                    effect: match r % 3 {
+                        0 => LaneEffect::Benign,
+                        1 => LaneEffect::Malicious {
+                            // Distinct per fault, so the applied one shows.
+                            mask: (r >> 8) & ((1 << n) - 1) | (f + 1) << n,
+                        },
+                        _ => LaneEffect::Asymmetric {
+                            detected_by: (r >> 16) & ((1 << n) - 1),
+                            collision_ok: r & 0x100 != 0,
+                        },
+                    },
+                }
+            })
+            .collect();
+        BatchFaultPlan::new(faults)
+    }
+
+    #[test]
+    fn due_cursors_apply_the_first_covering_fault() {
+        const N: usize = 6;
+        const TX: u64 = 0b10_1101;
+        let mut seed = 0x5EED_u64;
+        for _ in 0..40 {
+            let plans: Vec<BatchFaultPlan> = (0..9).map(|_| random_plan(N, &mut seed)).collect();
+            let mut c = BatchCluster::new(N, plans.clone()).unwrap();
+            for k in 0..300u64 {
+                assert!(c.run_round(&mut Constant(TX)));
+                let lanes = c.lanes();
+                for (lane, plan) in plans.iter().enumerate() {
+                    for p in 0..N {
+                        let bit = 1u64 << p;
+                        // (bus value, receivers that detect, collision ok)
+                        let (bus, detected, coll) = match plan.effect_for(k, p) {
+                            None => (TX, 0, true),
+                            Some(LaneEffect::Benign) => (TX, u64::MAX, false),
+                            Some(&LaneEffect::Malicious { mask }) => (mask, 0, true),
+                            Some(&LaneEffect::Asymmetric {
+                                detected_by,
+                                collision_ok,
+                            }) => (TX, detected_by, collision_ok),
+                        };
+                        let at = format!("round {k}, lane {lane}, slot {p}");
+                        assert_eq!(lanes.bus_row(p)[lane], bus, "{at}");
+                        let seen = lanes.collision_row(k)[lane] & bit != 0;
+                        assert_eq!(seen, coll, "{at}");
+                        for i in 0..N {
+                            let valid = lanes.validity_row(i)[lane] & bit != 0;
+                            let expect = if i == p { coll } else { detected >> i & 1 == 0 };
+                            assert_eq!(valid, expect, "{at}, observer {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -320,9 +320,10 @@ fn steady_state_run_round_allocates_nothing_with_trace_off() {
     // once, even in the campaign configuration (fingerprints enabled, the
     // streams pre-reserved up front) and with heterogeneous faults
     // streaming — fault effects are pure bitset arithmetic on the
-    // structure-of-arrays state. That holds at every vote-tally width:
-    // one word per lane at N = 8, two at N = 16, eight at N = 64, all
-    // allocated when the job is built. The faults reach the top word.
+    // structure-of-arrays state. That holds at every cluster size here
+    // (N = 8, 16, 64): bus rows, accuser masks and pending masks are all
+    // allocated when the batch and the job are built. The faults reach the
+    // top syndrome byte.
     let batch_plans = |n: usize| -> Vec<BatchFaultPlan> {
         (0..64)
             .map(|lane| {

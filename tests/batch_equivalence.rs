@@ -3,8 +3,9 @@
 //! [`Cluster`] run of the same fault schedule byte for byte — health
 //! vectors, counter samples, isolation events, penalty/reward counters and
 //! state fingerprints — at every required batch size B ∈ {1, 7, 64, 256},
-//! and for wide clusters (N ∈ {9, 15, 16, 17, 33, 64}, every word count of
-//! the vote tally) at B ∈ {1, 7, 64}.
+//! for wide clusters (N ∈ {9, 15, 16, 17, 33, 64}, every wire byte count of
+//! a syndrome up to the engine's maximum) at B ∈ {1, 7, 64}, and for
+//! sweep-shaped sparse and dense traffic at N ∈ {4, 8, 16, 64}.
 //!
 //! Two layers of the stack are exercised:
 //!
@@ -33,9 +34,9 @@ use tt_sim::{
 /// production width.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 256];
 
-/// Wide cluster sizes: one tally word plus a node, two words less a node,
-/// exactly two words, two words plus a node, four words plus a node, and
-/// the engine's maximum.
+/// Wide cluster sizes: one syndrome byte plus a node, two bytes less a
+/// node, exactly two bytes, two bytes plus a node, four bytes plus a node,
+/// and the engine's maximum.
 const WIDE_NODES: [usize; 6] = [9, 15, 16, 17, 33, 64];
 
 /// Batch sizes of the wide case: one lane, a ragged width and one full
@@ -190,52 +191,213 @@ fn assert_lane_matches(job: &BatchDiagJob, cluster: &Cluster, lane: usize) {
     }
 }
 
+/// An independent scalar run of `case` over `rounds` rounds.
+fn scalar_run(n: usize, case: &LaneCase, rounds: u64) -> Cluster {
+    let cfg = ProtocolConfig::builder(n)
+        .penalty_threshold(case.penalty_threshold)
+        .reward_threshold(case.reward_threshold)
+        .build()
+        .expect("valid config");
+    // The round must divide into n equal slots (its absolute length is
+    // irrelevant to the diagnosis state).
+    let mut cluster = ClusterBuilder::new(n)
+        .round_length(round_for(n))
+        .build_with_jobs(
+            move |id| Box::new(DiagJob::new(id, cfg.clone()).with_counter_trace()),
+            Box::new(scalar_pipeline(n, case.faults.clone())),
+        );
+    cluster.run_rounds(rounds);
+    cluster
+}
+
+/// Runs one batch in which lane `l` plays `cases[lane_case[l]]` for
+/// `budgets[lane_case[l]]` rounds (and then retires), and asserts each
+/// lane's full recorded state equals `scalars[lane_case[l]]`, the scalar
+/// run of that case over that budget.
+fn assert_lanes_match(
+    n: usize,
+    cases: &[LaneCase],
+    budgets: &[u64],
+    scalars: &[Cluster],
+    lane_case: &[usize],
+) {
+    let plans = lane_case
+        .iter()
+        .map(|&c| BatchFaultPlan::new(cases[c].faults.clone()))
+        .collect();
+    let params: Vec<BatchLaneParams> = lane_case
+        .iter()
+        .map(|&c| BatchLaneParams {
+            penalty_threshold: cases[c].penalty_threshold,
+            reward_threshold: cases[c].reward_threshold,
+        })
+        .collect();
+    let lane_rounds: Vec<u64> = lane_case.iter().map(|&c| budgets[c]).collect();
+    let mut batch = BatchCluster::new(n, plans).expect("valid batch");
+    let mut job = BatchDiagJob::new(n, &params).with_recording();
+    batch.run_lane_rounds(&lane_rounds, &mut job);
+    for (lane, &c) in lane_case.iter().enumerate() {
+        assert_lane_matches(&job, &scalars[c], lane);
+    }
+}
+
 /// Runs `cases` (lane `l` takes `cases[l % cases.len()]`) through the
 /// batched engine at every size in `batch_sizes` and asserts each lane's
 /// full recorded state equals an independent scalar run of its case.
 fn assert_batches_match_scalar(n: usize, cases: &[LaneCase], batch_sizes: &[usize], rounds: u64) {
     // Distinct lane cases is all that needs scalar re-execution: the engine
     // is deterministic per (plan, params).
-    let scalars: Vec<Cluster> = cases
-        .iter()
-        .map(|c| {
-            let cfg = ProtocolConfig::builder(n)
-                .penalty_threshold(c.penalty_threshold)
-                .reward_threshold(c.reward_threshold)
-                .build()
-                .expect("valid config");
-            // The round must divide into n equal slots (its absolute length
-            // is irrelevant to the diagnosis state).
-            let mut cluster = ClusterBuilder::new(n)
-                .round_length(round_for(n))
-                .build_with_jobs(
-                    move |id| Box::new(DiagJob::new(id, cfg.clone()).with_counter_trace()),
-                    Box::new(scalar_pipeline(n, c.faults.clone())),
-                );
-            cluster.run_rounds(rounds);
-            cluster
-        })
-        .collect();
+    let scalars: Vec<Cluster> = cases.iter().map(|c| scalar_run(n, c, rounds)).collect();
+    let budgets = vec![rounds; cases.len()];
     for &b in batch_sizes {
-        let lanes: Vec<&LaneCase> = (0..b).map(|l| &cases[l % cases.len()]).collect();
-        let plans = lanes
-            .iter()
-            .map(|c| BatchFaultPlan::new(c.faults.clone()))
-            .collect();
-        let params: Vec<BatchLaneParams> = lanes
-            .iter()
-            .map(|c| BatchLaneParams {
-                penalty_threshold: c.penalty_threshold,
-                reward_threshold: c.reward_threshold,
+        let lane_case: Vec<usize> = (0..b).map(|l| l % cases.len()).collect();
+        assert_lanes_match(n, cases, &budgets, &scalars, &lane_case);
+    }
+}
+
+/// Cluster sizes of the sparse and dense cases: the sweep's grid sizes, the
+/// `sweep-wide` size and the engine's maximum.
+const SPARSE_NODES: [usize; 4] = [4, 8, 16, 64];
+
+/// Rounds of the sparse and dense cases.
+const CASE_ROUNDS: u64 = 32;
+
+/// LCG step: the seeded draws of the sparse and dense cases.
+fn draw(state: &mut u64, below: u64) -> u64 {
+    *state = state
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    (*state >> 33) % below
+}
+
+/// A sweep-shaped batch, checked against scalar runs: 64 lanes, of which a
+/// few carry faults on at most two subjects — single-round benign arrivals
+/// on the victim (slot 0) and, in some, a periodic benign fault on slot 1,
+/// like `tt_fault::sampled_schedule` — and the rest run fault-free.
+fn check_sparse_batch(n: usize, seed: u64) {
+    let mut state = seed;
+    let mut cases = vec![LaneCase {
+        faults: Vec::new(),
+        penalty_threshold: 1 + draw(&mut state, 3),
+        reward_threshold: 2 + draw(&mut state, 6),
+    }];
+    let mut lane_case = vec![0; 64];
+    for _ in 0..1 + draw(&mut state, 4) {
+        let mut faults: Vec<LaneFault> = (0..1 + draw(&mut state, 3))
+            .map(|_| LaneFault {
+                slot: 0,
+                first_round: 3 + draw(&mut state, CASE_ROUNDS - 6),
+                hits: 1,
+                stride: 1,
+                effect: LaneEffect::Benign,
             })
             .collect();
-        let mut batch = BatchCluster::new(n, plans).expect("valid batch");
-        let mut job = BatchDiagJob::new(n, &params).with_recording();
-        batch.run_rounds(rounds, &mut job);
-        for lane in 0..b {
-            assert_lane_matches(&job, &scalars[lane % cases.len()], lane);
+        if draw(&mut state, 2) == 1 {
+            faults.push(LaneFault {
+                slot: 1,
+                first_round: 3,
+                hits: u64::MAX,
+                stride: 2 + draw(&mut state, 6),
+                effect: LaneEffect::Benign,
+            });
         }
+        lane_case[draw(&mut state, 64) as usize] = cases.len();
+        cases.push(LaneCase {
+            faults,
+            penalty_threshold: 1 + draw(&mut state, 3),
+            reward_threshold: 2 + draw(&mut state, 6),
+        });
     }
+    let scalars: Vec<Cluster> = cases
+        .iter()
+        .map(|c| scalar_run(n, c, CASE_ROUNDS))
+        .collect();
+    assert_lanes_match(
+        n,
+        &cases,
+        &vec![CASE_ROUNDS; cases.len()],
+        &scalars,
+        &lane_case,
+    );
+}
+
+/// A dense batch, checked against scalar runs: every subject is accused in
+/// some lane — each slot carries a benign or boundary asymmetric fault,
+/// spread over four lanes, and some also a forged (malicious) frame
+/// accusing another subject — and one more lane retires early with a
+/// penalty pending about a subject no live lane then charges.
+fn check_dense_batch(n: usize, seed: u64) {
+    const DENSE_LANES: usize = 4;
+    let mut state = seed;
+    let mut cases: Vec<LaneCase> = (0..DENSE_LANES)
+        .map(|lane| {
+            let mut faults = Vec::new();
+            for slot in (lane..n).step_by(DENSE_LANES) {
+                let first_round = 3 + draw(&mut state, 8);
+                let effect = if draw(&mut state, 2) == 0 {
+                    LaneEffect::Benign
+                } else {
+                    LaneEffect::Asymmetric {
+                        detected_by: boundary_detectors(n, slot, state),
+                        collision_ok: draw(&mut state, 2) == 1,
+                    }
+                };
+                if draw(&mut state, 3) == 0 {
+                    // Listed first, so where both strike the forgery wins.
+                    faults.push(LaneFault {
+                        slot,
+                        first_round: first_round + draw(&mut state, 3),
+                        hits: 2,
+                        stride: 2,
+                        effect: LaneEffect::Malicious {
+                            mask: full_mask(n) & !(1u64 << draw(&mut state, n as u64)),
+                        },
+                    });
+                }
+                faults.push(LaneFault {
+                    slot,
+                    first_round,
+                    hits: 1 + draw(&mut state, 4),
+                    stride: 1 + draw(&mut state, 3),
+                    effect,
+                });
+            }
+            LaneCase {
+                faults,
+                penalty_threshold: 1 + draw(&mut state, 4),
+                reward_threshold: 2 + draw(&mut state, 4),
+            }
+        })
+        .collect();
+    // The retiring lane: one benign hit on the last subject two rounds
+    // before the verdict lands, under thresholds that neither isolate nor
+    // forgive before the lane's budget runs out.
+    let retire_at = CASE_ROUNDS / 2;
+    cases.push(LaneCase {
+        faults: vec![LaneFault {
+            slot: n - 1,
+            first_round: retire_at - 4,
+            hits: 1,
+            stride: 1,
+            effect: LaneEffect::Benign,
+        }],
+        penalty_threshold: 100,
+        reward_threshold: 100,
+    });
+    let mut budgets = vec![CASE_ROUNDS; DENSE_LANES];
+    budgets.push(retire_at);
+    let scalars: Vec<Cluster> = cases
+        .iter()
+        .zip(&budgets)
+        .map(|(c, &rounds)| scalar_run(n, c, rounds))
+        .collect();
+    let pending = scalars[DENSE_LANES]
+        .job_as::<DiagJob>(NodeId::from_slot(0))
+        .expect("diag job")
+        .penalty(NodeId::from_slot(n - 1));
+    assert!(pending > 0, "the retiring lane leaves a penalty pending");
+    let lane_case: Vec<usize> = (0..=DENSE_LANES).collect();
+    assert_lanes_match(n, &cases, &budgets, &scalars, &lane_case);
 }
 
 proptest! {
@@ -300,10 +462,10 @@ proptest! {
     // Every case runs all six cluster sizes, up to 64-node scalar re-runs.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The same comparison for wide clusters, where the vote tally spans
-    /// ⌈N/8⌉ words per lane: every N of [`WIDE_NODES`] runs each drawn
-    /// set of lane plans. Asymmetric faults sit at the majority boundary,
-    /// where a single miscounted vote changes the verdict.
+    /// The same comparison for wide clusters, where a syndrome spans
+    /// ⌈N/8⌉ wire bytes: every N of [`WIDE_NODES`] runs each drawn set of
+    /// lane plans. Asymmetric faults sit at the majority boundary, where a
+    /// single miscounted vote changes the verdict.
     #[test]
     fn wide_lanes_match_scalar_state(
         seeds in proptest::collection::vec(lane_case_strategy(64, 24), 8),
@@ -317,6 +479,37 @@ proptest! {
                 })
                 .collect();
             assert_batches_match_scalar(n, &cases, &WIDE_BATCH_SIZES, 24);
+        }
+    }
+}
+
+proptest! {
+    // Every case runs four cluster sizes, up to 64-node scalar re-runs.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Sweep-shaped sparse traffic (faults on at most two subjects in a few
+    /// of 64 lanes) and dense traffic (every subject accused in some lane,
+    /// a penalty left pending only in a retired lane) match scalar state.
+    #[test]
+    fn sparse_and_dense_lanes_match_scalar_state(seed in any::<u64>()) {
+        for &n in &SPARSE_NODES {
+            check_sparse_batch(n, seed);
+            check_dense_batch(n, seed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sparse and dense cases at many more seeds and at every cluster
+    /// size of the wide case too (the weekly soak job runs ignored tests).
+    #[test]
+    #[ignore = "soak: ~48 seeds at N up to 64"]
+    fn sparse_and_dense_lanes_match_scalar_state_soak(seed in any::<u64>()) {
+        for &n in SPARSE_NODES.iter().chain(&WIDE_NODES) {
+            check_sparse_batch(n, seed);
+            check_dense_batch(n, seed);
         }
     }
 }
