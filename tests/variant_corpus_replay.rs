@@ -123,26 +123,28 @@ fn corpus_seeds_explore_cleanly(variant: &str, protocol: ProtocolUnderTest) {
     assert!(report.unique_states > 0);
 }
 
-/// CI's lowlat explorer session (`ttdiag explore --protocol lowlat --seed
-/// 3517318629 --budget 150 --corpus tests/corpus/lowlat --json FILE`),
-/// pinned byte for byte in `tests/golden/explore_lowlat.json`: a change to
-/// any Sec. 10 verdict, view or fingerprint moves the discovered corpus or
-/// the state count, and the report bytes with them.
-#[test]
-fn lowlat_explore_session_matches_its_golden_report() {
-    let seeds: Vec<FaultSchedule> = variant_corpus("lowlat", ProtocolUnderTest::Lowlat)
-        .into_iter()
-        .map(|(_, s)| s)
-        .collect();
+/// Runs CI's explorer session for `protocol` (`ttdiag explore [--protocol
+/// P] --seed 3517318629 --budget B --corpus DIR --json FILE`) and asserts
+/// its full report equals `tests/golden/<golden>` byte for byte: a change
+/// to any verdict, view or fingerprint moves the discovered corpus or the
+/// state count, and the report bytes with them.
+fn assert_explore_session_matches_golden(
+    seeds: &[FaultSchedule],
+    protocol: ProtocolUnderTest,
+    budget: u64,
+    golden: &str,
+) {
     let cfg = ExploreConfig {
-        budget: 150,
+        budget,
         seed: 3_517_318_629,
-        protocol: ProtocolUnderTest::Lowlat,
+        protocol,
         ..ExploreConfig::default()
     };
-    let report = explore_with(&cfg, &seeds, &tt_fault::explore::no_extra_oracle);
+    let report = explore_with(&cfg, seeds, &tt_fault::explore::no_extra_oracle);
     let got = serde_json::to_string_pretty(&report).expect("report serializes");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/explore_lowlat.json");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(golden);
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     if got != want {
@@ -155,11 +157,63 @@ fn lowlat_explore_session_matches_its_golden_report() {
                 |i| (i + 1).to_string(),
             );
         panic!(
-            "the lowlat explorer report drifted from {} (first difference at line {line}); \
-             if intentional, regenerate it with the ttdiag command in this test's doc",
+            "the {protocol:?} explorer report drifted from {} (first difference at line {line}); \
+             if intentional, regenerate it with the ttdiag command in the test's doc",
             path.display()
         );
     }
+}
+
+/// CI's lowlat explorer session (`ttdiag explore --protocol lowlat --seed
+/// 3517318629 --budget 150 --corpus tests/corpus/lowlat --json FILE`),
+/// pinned in `tests/golden/explore_lowlat.json`.
+#[test]
+fn lowlat_explore_session_matches_its_golden_report() {
+    let seeds: Vec<FaultSchedule> = variant_corpus("lowlat", ProtocolUnderTest::Lowlat)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    assert_explore_session_matches_golden(
+        &seeds,
+        ProtocolUnderTest::Lowlat,
+        150,
+        "explore_lowlat.json",
+    );
+}
+
+/// CI's membership explorer session (`ttdiag explore --protocol
+/// membership --seed 3517318629 --budget 150 --corpus
+/// tests/corpus/membership --json FILE`), pinned in
+/// `tests/golden/explore_membership.json`.
+#[test]
+fn membership_explore_session_matches_its_golden_report() {
+    let seeds: Vec<FaultSchedule> = variant_corpus("membership", ProtocolUnderTest::Membership)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    assert_explore_session_matches_golden(
+        &seeds,
+        ProtocolUnderTest::Membership,
+        150,
+        "explore_membership.json",
+    );
+}
+
+/// CI's diag explorer session (`ttdiag explore --seed 3517318629 --budget
+/// 300 --corpus tests/corpus --json FILE`), pinned in
+/// `tests/golden/explore_diag.json`. The flat load skips the variant
+/// subdirectories, as the CLI's does.
+#[test]
+fn diag_explore_session_matches_its_golden_report() {
+    let corpus = load_corpus(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus"))
+        .expect("corpus directory readable");
+    let seeds: Vec<FaultSchedule> = corpus.into_iter().map(|(_, s)| s).collect();
+    assert_explore_session_matches_golden(
+        &seeds,
+        ProtocolUnderTest::Diag,
+        300,
+        "explore_diag.json",
+    );
 }
 
 #[test]
