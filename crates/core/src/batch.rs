@@ -55,7 +55,7 @@ use std::hash::Hasher;
 use tt_sim::{BatchLanes, Fnv1a64, LockstepJob, NodeId, RoundIndex};
 
 use crate::protocol::{CounterSample, HealthRecord, IsolationEvent};
-use crate::syndrome::bits;
+use crate::syndrome::{bits, low_bits};
 
 /// Diagnosis lag of the supported (mixed-alignment) configuration: the
 /// activation of round `k` diagnoses round `k - 3`.
@@ -273,7 +273,7 @@ impl BatchDiagJob {
         );
         assert!(!lanes.is_empty(), "at least one lane");
         let b = lanes.len();
-        let all_ok = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let all_ok = low_bits(n);
         BatchDiagJob {
             n,
             b,

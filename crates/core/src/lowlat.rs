@@ -31,7 +31,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use tt_sim::{
-    apply_effect_into, FaultPipeline, NodeId, Reception, RoundIndex, SlotFaultClass, SlotOutcome,
+    apply_effect_into, FaultPipeline, NodeId, RoundIndex, SlotFaultClass, SlotOutcome,
     TxCtx,
 };
 
@@ -362,7 +362,7 @@ impl LowLatCluster {
             nodes: (0..n).map(|i| LowLatNode::new(i, n, membership)).collect(),
             pipeline,
             abs: 0,
-            outcome: SlotOutcome::with_capacity(n),
+            outcome: SlotOutcome::new(),
             ground_truth: Vec::new(),
         }
     }
@@ -384,16 +384,14 @@ impl LowLatCluster {
         let outcome = &mut self.outcome;
         apply_effect_into(&effect, &ctx, &payload, outcome);
         self.ground_truth.push(outcome.class);
-        for (rx, (node, reception)) in self.nodes.iter_mut().zip(&outcome.receptions).enumerate() {
+        for (rx, node) in self.nodes.iter_mut().enumerate() {
             if rx == s {
                 // The sender observes its own slot via collision detection
                 // and processes its own (locally known) frame content.
                 node.on_slot(abs, s, outcome.collision_ok, Some(&payload));
             } else {
-                match reception {
-                    Reception::Valid(p) => node.on_slot(abs, s, true, Some(p)),
-                    Reception::Detected => node.on_slot(abs, s, false, None),
-                }
+                let received = outcome.received(rx).map(|p| &p[..]);
+                node.on_slot(abs, s, received.is_some(), received);
             }
         }
         self.abs += 1;

@@ -8,8 +8,8 @@
 
 use tt_sim::NodeId;
 
-use crate::syndrome::{format_row, Syndrome, SyndromeRow};
-use crate::voting::{h_maj, h_maj_tally, HMaj, VoteTally};
+use crate::syndrome::{bits, format_row, low_bits, Syndrome, SyndromeRow};
+use crate::voting::{h_maj, h_maj_counts, h_maj_tally, HMaj, VoteTally};
 
 /// A diagnostic matrix for one diagnosed round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +31,20 @@ impl DiagnosticMatrix {
             }
         }
         DiagnosticMatrix { rows }
+    }
+
+    /// Builds the matrix of `rows`, syndrome words (bit `j` of `rows[i]` =
+    /// node `i+1`'s opinion on node `j+1`) of which the rows in `present`
+    /// hold a syndrome and the rest are ε, reusing `storage`'s allocation.
+    pub(crate) fn from_words(rows: &[u64], present: u64, mut storage: Vec<SyndromeRow>) -> Self {
+        let n = rows.len();
+        storage.clear();
+        storage.extend(
+            rows.iter()
+                .enumerate()
+                .map(|(i, &w)| (present & 1 << i != 0).then(|| Syndrome::from_mask(n, w))),
+        );
+        DiagnosticMatrix { rows: storage }
     }
 
     /// Cluster size `N`.
@@ -128,6 +142,46 @@ impl DiagnosticMatrix {
     }
 }
 
+/// The consistent health vector of the matrix whose rows are the syndrome
+/// words `rows` (as in [`DiagnosticMatrix::from_words`]) under the mask
+/// `present` of rows that are not ε, as a mask: bit `j` set = node `j+1`
+/// healthy.
+///
+/// Equal to [`DiagnosticMatrix::consistent_health_vector`] of the same
+/// matrix, but `H-maj` runs only on accused columns. A column that nobody
+/// accuses is a unanimous healthy vote if any present row other than the
+/// subject's votes on it, and `⊥` otherwise, resolved by
+/// `collision_fallback` (`None` = healthy).
+pub(crate) fn health_mask(
+    rows: &[u64],
+    present: u64,
+    mut collision_fallback: impl FnMut(NodeId) -> Option<bool>,
+) -> u64 {
+    let all = low_bits(rows.len());
+    let accused = bits(present).fold(0, |acc, i| acc | (!rows[i] & !(1 << i))) & all;
+    let mut healthy = all & !accused;
+    for j in bits(accused) {
+        let voters = present & !(1 << j);
+        let ok = bits(voters).filter(|&i| rows[i] & 1 << j != 0).count() as u64;
+        let faulty = u64::from(voters.count_ones()) - ok;
+        if h_maj_counts(ok, faulty) == HMaj::Decided(true) {
+            healthy |= 1 << j;
+        }
+    }
+    // A column is ⊥ when no row but the subject's own is present.
+    let undecidable = match present.count_ones() {
+        0 => all,
+        1 => present,
+        _ => 0,
+    };
+    for j in bits(undecidable) {
+        if !collision_fallback(NodeId::from_slot(j)).unwrap_or(true) {
+            healthy &= !(1 << j);
+        }
+    }
+    healthy
+}
+
 /// Convenience constructor used by tests and examples: builds the matrix of
 /// the paper's Table 1 scenario, where `faulty` nodes were benign faulty in
 /// both the diagnosed round and the dissemination round.
@@ -220,6 +274,48 @@ mod tests {
         assert_eq!((t.ok, t.faulty, t.epsilon), (1, 0, 2));
         assert_eq!(t.outcome, HMaj::Decided(true));
         assert_eq!(t.outcome, m.vote(NodeId::new(1)));
+    }
+
+    /// `health_mask` agrees with the column-by-column vote on every
+    /// matrix of a 3-node cluster (each row ε or any of 8 syndromes) and
+    /// every collision-detector answer, and on a pseudo-random sample of
+    /// 5-node matrices.
+    #[test]
+    fn health_mask_matches_the_column_vote() {
+        let check = |n: usize, rows: &[u64], present: u64, fallback: &dyn Fn(NodeId) -> Option<bool>| {
+            let m = DiagnosticMatrix::from_words(rows, present, Vec::new());
+            let want = m.consistent_health_vector(fallback);
+            let got = health_mask(rows, present, fallback);
+            let got: Vec<bool> = (0..n).map(|j| got & 1 << j != 0).collect();
+            assert_eq!(got, want, "rows {rows:?} present {present:#b}");
+        };
+        let fallbacks: [&dyn Fn(NodeId) -> Option<bool>; 3] = [
+            &|_| None,
+            &|j| Some(j != NodeId::new(2)),
+            &|_| Some(false),
+        ];
+        for code in 0..9u64.pow(3) {
+            let cells: Vec<u64> = (0..3).map(|i| code / 9u64.pow(i) % 9).collect();
+            let present = cells
+                .iter()
+                .enumerate()
+                .fold(0, |p, (i, &c)| if c < 8 { p | 1 << i } else { p });
+            let rows: Vec<u64> = cells.iter().map(|&c| c % 8).collect();
+            for fallback in fallbacks {
+                check(3, &rows, present, fallback);
+            }
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..4_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let rows: Vec<u64> = (0..5).map(|i| (x >> (5 * i)) & 0b11111).collect();
+            let present = (x >> 40) & 0b11111;
+            for fallback in fallbacks {
+                check(5, &rows, present, fallback);
+            }
+        }
     }
 
     #[test]

@@ -22,14 +22,14 @@ use tt_sim::{Job, JobCtx, MetricsEvent, NodeId, RoundIndex};
 
 use crate::alignment::diagnosis_lag;
 use crate::config::ProtocolConfig;
-use crate::matrix::DiagnosticMatrix;
+use crate::matrix::{health_mask, DiagnosticMatrix};
 use crate::penalty::{PenaltyReward, ReintegrationPolicy};
-use crate::pipeline::AlignmentBuffers;
+use crate::pipeline::{Aligned, AlignmentBuffers};
 use crate::protocol::{
     emit_detection_spans, emit_dissemination_spans, emit_pr_transition, emit_vote_spans,
     emit_vote_tallies, span_for_transition, HealthRecord, IsolationEvent,
 };
-use crate::syndrome::{Syndrome, SyndromeRow};
+use crate::syndrome::{bits, low_bits, Syndrome, SyndromeRow};
 
 /// A membership view: the agreed set of participating nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,6 +66,9 @@ pub struct MembershipJob {
     isolations: Vec<IsolationEvent>,
     accusation_log: Vec<(RoundIndex, NodeId)>,
     activations: u64,
+    /// Recycled row storage for the [`DiagnosticMatrix`] the vote tallies
+    /// are read from when a sink is enabled.
+    matrix_scratch: Vec<SyndromeRow>,
 }
 
 impl MembershipJob {
@@ -94,6 +97,7 @@ impl MembershipJob {
             isolations: Vec::new(),
             accusation_log: Vec::new(),
             activations: 0,
+            matrix_scratch: Vec::with_capacity(n),
             config,
         }
     }
@@ -149,62 +153,60 @@ impl MembershipJob {
     }
 
     /// Detects the minority clique: nodes whose disseminated syndrome
-    /// disagrees with the consistent health vector on some *other* node's
-    /// health (their self-opinion is ignored, as in the voting).
-    fn minority_accusations(&self, al_dm: &[SyndromeRow], cons_hv: &[bool]) -> Vec<NodeId> {
-        let mut accused = Vec::new();
-        for (j, row) in al_dm.iter().enumerate() {
-            if j == self.node.index() {
-                continue;
-            }
-            let Some(s) = row else { continue };
-            let disagrees = (0..cons_hv.len()).any(|m| m != j && s.get(m) != cons_hv[m]);
-            if disagrees {
-                accused.push(NodeId::from_slot(j));
-            }
-        }
-        accused
+    /// disagrees with the consistent health vector `healthy` (as a mask) on
+    /// some *other* node's health (their self-opinion is ignored, as in the
+    /// voting). Returns the accused as a mask.
+    fn minority_accusations(&self, rows: &[u64], present: u64, healthy: u64) -> u64 {
+        let all = low_bits(rows.len());
+        bits(present & !(1 << self.node.index()))
+            .filter(|&j| (rows[j] ^ healthy) & all & !(1 << j) != 0)
+            .fold(0, |acc, j| acc | 1 << j)
     }
 
     /// Analysis (phases 4–5) for the diagnosed round; returns the
-    /// accusations to fold into the outgoing syndrome.
-    fn analyze(&mut self, ctx: &mut JobCtx<'_>, mut al_dm: Vec<SyndromeRow>) -> Vec<NodeId> {
+    /// accusations to fold into the outgoing syndrome, as a mask.
+    fn analyze(&mut self, ctx: &mut JobCtx<'_>, aligned: &Aligned) -> u64 {
         let k = ctx.round();
         let lag = diagnosis_lag(self.config.all_send_curr_round());
         let Some(diagnosed) = k.checked_sub(lag) else {
-            return Vec::new();
+            return 0;
         };
         if self.activations < lag {
-            return Vec::new();
+            return 0;
         }
-        if let Some(prev_round) = k.checked_sub(1) {
-            if let Some(own) = self.bufs.own_row_for_tx_round(prev_round) {
-                al_dm[self.node.index()] = Some(own);
-            }
-        }
-        let matrix = DiagnosticMatrix::new(al_dm.clone());
         let node = self.node;
-        let cons_hv = matrix.consistent_health_vector(|j| {
+        let present = self.bufs.install_own_row(aligned, node, k);
+        let rows = self.bufs.aligned_rows();
+        let healthy = health_mask(rows, present, |j| {
             if j == node {
                 ctx.collision_ok(diagnosed)
             } else {
                 None
             }
         });
+        let cons_hv: Vec<bool> = (0..rows.len()).map(|j| healthy & 1 << j != 0).collect();
         let sink = ctx.metrics();
         let metrics_on = sink.enabled();
-        if metrics_on {
-            emit_vote_tallies(sink, &matrix, node, k, diagnosed);
-        }
         let tracer = ctx.tracing();
         let tracing_on = tracer.enabled();
-        if tracing_on {
-            emit_vote_spans(tracer, &matrix, node, k, diagnosed);
+        if metrics_on || tracing_on {
+            let matrix = DiagnosticMatrix::from_words(
+                rows,
+                present,
+                std::mem::take(&mut self.matrix_scratch),
+            );
+            if metrics_on {
+                emit_vote_tallies(sink, &matrix, node, k, diagnosed);
+            }
+            if tracing_on {
+                emit_vote_spans(tracer, &matrix, node, k, diagnosed);
+            }
+            self.matrix_scratch = matrix.into_rows();
         }
         // Minority accusations: disseminated with the *next* syndrome.
-        let accusations = self.minority_accusations(&al_dm, &cons_hv);
-        for &a in &accusations {
-            self.accusation_log.push((k, a));
+        let accusations = self.minority_accusations(self.bufs.aligned_rows(), present, healthy);
+        for a in bits(accusations) {
+            self.accusation_log.push((k, NodeId::from_slot(a)));
         }
         // p/r bookkeeping and isolation, as in the base protocol.
         let newly_isolated = self.pr.update_observed(&cons_hv, |t| {
@@ -227,17 +229,11 @@ impl MembershipJob {
             }
         }
         // View maintenance: drop every member deemed faulty this round.
-        let convicted: Vec<NodeId> = cons_hv
-            .iter()
-            .enumerate()
-            .filter(|(_, &ok)| !ok)
-            .map(|(i, _)| NodeId::from_slot(i))
-            .filter(|n| self.members.contains(n))
-            .collect();
-        if !convicted.is_empty() {
-            for n in convicted {
-                self.members.remove(&n);
-            }
+        let mut convicted = false;
+        for j in bits(!healthy & low_bits(cons_hv.len())) {
+            convicted |= self.members.remove(&NodeId::from_slot(j));
+        }
+        if convicted {
             let view_id = self.views.len() as u64;
             let view = MembershipView {
                 view_id,
@@ -286,16 +282,16 @@ impl Job for MembershipJob {
         }
         // Phase 4 runs BEFORE dissemination (Sec. 7): the consistent health
         // vector determines the minority accusations...
-        let accusations = self.analyze(ctx, aligned.al_dm.clone());
-        let n_accusations = accusations.len() as u64;
+        let accusations = self.analyze(ctx, &aligned);
+        let n_accusations = u64::from(accusations.count_ones());
         // ...which phase 2 folds into the outgoing local syndrome.
         let tx_round = self.bufs.disseminate(
             ctx,
             self.config.all_send_curr_round(),
             &aligned.al_ls,
             |s: &mut Syndrome| {
-                for a in accusations {
-                    s.set(a, false);
+                for a in bits(accusations) {
+                    s.set(NodeId::from_slot(a), false);
                 }
             },
         );

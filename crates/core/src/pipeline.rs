@@ -8,57 +8,57 @@
 //! dissemination.
 
 use std::collections::VecDeque;
-use std::mem;
 
-use bytes::Bytes;
-use tt_sim::{JobCtx, RoundIndex};
+use tt_sim::{JobCtx, NodeId, RoundIndex};
 
 use crate::alignment::{send_align, SendChoice};
-use crate::syndrome::{Syndrome, SyndromeRow};
+use crate::syndrome::{bits, low_bits, Syndrome};
 
 /// How many disseminated syndromes are remembered (the analysis needs only
 /// the one transmitted in round `k - 1`; we keep a margin).
 const OWN_TX_HISTORY: usize = 8;
 
-/// The aligned view produced by phases 1 & 3 of one activation.
-#[derive(Debug, Clone)]
+/// The aligned view produced by phases 1 & 3 of one activation. The aligned
+/// rows themselves stay in the [`AlignmentBuffers`] that produced it
+/// ([`AlignmentBuffers::aligned_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aligned {
-    /// Aligned diagnostic-matrix rows (all sent in round `k - 1`).
-    pub al_dm: Vec<SyndromeRow>,
+    /// The aligned diagnostic-matrix rows (all sent in round `k - 1`) that
+    /// hold a syndrome: bit `i` clear means the row of node `i+1` is ε.
+    pub present: u64,
     /// Aligned local syndrome (local detection for round `k - 1`).
     pub al_ls: Syndrome,
-    /// Unaligned rows read this activation (buffered for next time).
-    pub curr_dm: Vec<SyndromeRow>,
-    /// Unaligned validity bits read this activation.
-    pub curr_ls: Vec<bool>,
 }
 
 impl Aligned {
     /// Number of ε rows in the aligned diagnostic matrix (syndromes whose
     /// carrying message was invalid or never received).
     pub fn epsilon_rows(&self) -> u64 {
-        self.al_dm.iter().filter(|r| r.is_none()).count() as u64
+        u64::from(self.al_ls.len() as u32 - self.present.count_ones())
     }
 }
 
 /// Alignment buffers of one protocol instance.
+///
+/// Matrix rows are kept as syndrome words (bit `j` of row `i` = node
+/// `i+1`'s opinion on node `j+1`) under a mask of the rows that are
+/// present; a word outside its mask is stale and never read.
 #[derive(Debug, Clone)]
 pub struct AlignmentBuffers {
     n: usize,
-    prev_dm: Vec<SyndromeRow>,
-    prev_ls: Vec<bool>,
+    /// Rows read by the previous activation, present under `prev_present`.
+    prev_rows: Vec<u64>,
+    prev_present: u64,
+    /// Validity bits read by the previous activation.
+    prev_valid: u64,
     prev_al_ls: Syndrome,
+    /// Rows read by the current activation, present under `curr_present`.
+    curr_rows: Vec<u64>,
+    curr_present: u64,
+    curr_valid: u64,
+    /// The current activation's aligned matrix.
+    al_rows: Vec<u64>,
     own_tx: VecDeque<(RoundIndex, Syndrome)>,
-    /// Recycled backing storage for the next activation's [`Aligned`]:
-    /// [`AlignmentBuffers::commit`] returns the consumed vectors here so
-    /// steady-state rounds never touch the allocator.
-    spare_dm: Vec<SyndromeRow>,
-    spare_ls: Vec<bool>,
-    spare_al: Vec<SyndromeRow>,
-    /// Wire encoding of the last disseminated syndrome. In steady state the
-    /// outgoing syndrome rarely changes, so the payload `Bytes` is reused
-    /// (a reference-count bump) instead of re-encoded.
-    tx_cache: Option<(Syndrome, Bytes)>,
 }
 
 impl AlignmentBuffers {
@@ -66,54 +66,66 @@ impl AlignmentBuffers {
     pub fn new(n: usize) -> Self {
         AlignmentBuffers {
             n,
-            prev_dm: vec![None; n],
-            prev_ls: vec![false; n],
+            prev_rows: vec![0; n],
+            prev_present: 0,
+            prev_valid: 0,
             prev_al_ls: Syndrome::all_ok(n),
+            curr_rows: vec![0; n],
+            curr_present: 0,
+            curr_valid: 0,
+            al_rows: vec![0; n],
             own_tx: VecDeque::with_capacity(OWN_TX_HISTORY),
-            spare_dm: Vec::with_capacity(n),
-            spare_ls: Vec::with_capacity(n),
-            spare_al: Vec::with_capacity(n),
-            tx_cache: None,
         }
     }
 
     /// Phases 1 & 3: read interface variables and validity bits, decode
     /// syndromes (ε for invalid rows) and apply read alignment.
     ///
-    /// The returned [`Aligned`] borrows nothing but is backed by this
-    /// instance's recycled scratch vectors; hand it back via
-    /// [`AlignmentBuffers::commit`] to keep the round allocation-free.
+    /// The aligned rows are readable through
+    /// [`AlignmentBuffers::aligned_rows`] until the next call; hand the
+    /// returned view back via [`AlignmentBuffers::commit`].
     pub fn read_and_align(&mut self, ctx: &JobCtx<'_>) -> Aligned {
         let iface = ctx.iface();
-        let vbits = ctx.validity();
-        let l = ctx.l();
-        let mut curr_dm = mem::take(&mut self.spare_dm);
-        curr_dm.clear();
-        curr_dm.extend((0..self.n).map(|j| {
-            if vbits[j] {
-                iface[j].as_ref().map(|p| Syndrome::decode(p, self.n))
-            } else {
-                None
+        let valid = ctx.validity_mask();
+        let mut present = 0;
+        for j in bits(valid) {
+            if let Some(p) = &iface[j] {
+                self.curr_rows[j] = Syndrome::decode(p, self.n).bits();
+                present |= 1 << j;
             }
-        }));
-        let mut curr_ls = mem::take(&mut self.spare_ls);
-        curr_ls.clear();
-        curr_ls.extend_from_slice(vbits);
+        }
+        self.curr_present = present;
+        self.curr_valid = valid;
         // Read alignment (Alg. 1, lines 3–6): previous-activation values for
         // the slots already refreshed this round, current values for the rest.
-        let mut al_dm = mem::take(&mut self.spare_al);
-        al_dm.clear();
-        al_dm.extend_from_slice(&self.prev_dm[..l]);
-        al_dm.extend_from_slice(&curr_dm[l..]);
-        let al_ls =
-            Syndrome::from_bits(
-                (0..self.n).map(|j| if j < l { self.prev_ls[j] } else { curr_ls[j] }),
-            );
+        let l = ctx.l();
+        let fresh = low_bits(l);
+        self.al_rows[..l].copy_from_slice(&self.prev_rows[..l]);
+        self.al_rows[l..].copy_from_slice(&self.curr_rows[l..]);
         Aligned {
-            al_dm,
-            al_ls,
-            curr_dm,
-            curr_ls,
+            present: (self.prev_present & fresh) | (present & !fresh),
+            al_ls: Syndrome::from_mask(self.n, (self.prev_valid & fresh) | (valid & !fresh)),
+        }
+    }
+
+    /// The aligned matrix rows of the last [`AlignmentBuffers::read_and_align`]
+    /// (index = sender index), meaningful under [`Aligned::present`].
+    pub fn aligned_rows(&self) -> &[u64] {
+        &self.al_rows
+    }
+
+    /// Puts the node's own row into the matrix analysed at round `k`: the
+    /// syndrome it disseminated in round `k - 1`, taken from its local
+    /// buffer rather than the bus (a node always knows what it sent).
+    /// Returns the matrix's present-row mask, which includes that row
+    /// whenever the node has it.
+    pub fn install_own_row(&mut self, aligned: &Aligned, node: NodeId, k: RoundIndex) -> u64 {
+        match k.checked_sub(1).and_then(|r| self.own_row_for_tx_round(r)) {
+            Some(own) => {
+                self.al_rows[node.index()] = own.bits();
+                aligned.present | 1 << node.index()
+            }
+            None => aligned.present,
         }
     }
 
@@ -137,15 +149,7 @@ impl AlignmentBuffers {
             SendChoice::Previous => self.prev_al_ls,
         };
         mutate(&mut to_send);
-        let payload = match &self.tx_cache {
-            Some((cached, bytes)) if *cached == to_send => bytes.clone(),
-            _ => {
-                let bytes = to_send.encode();
-                self.tx_cache = Some((to_send, bytes.clone()));
-                bytes
-            }
-        };
-        ctx.write_iface(payload);
+        ctx.write_iface(to_send.encode());
         let tx_round = if ctx.send_curr_round() {
             ctx.round()
         } else {
@@ -170,11 +174,10 @@ impl AlignmentBuffers {
     }
 
     /// Lines 16–17 of Alg. 1: buffer this activation's reads for the next.
-    /// The vectors backing `aligned` return to the scratch pool.
     pub fn commit(&mut self, aligned: Aligned) {
-        self.spare_dm = mem::replace(&mut self.prev_dm, aligned.curr_dm);
-        self.spare_ls = mem::replace(&mut self.prev_ls, aligned.curr_ls);
-        self.spare_al = aligned.al_dm;
+        std::mem::swap(&mut self.prev_rows, &mut self.curr_rows);
+        self.prev_present = self.curr_present;
+        self.prev_valid = self.curr_valid;
         self.prev_al_ls = aligned.al_ls;
     }
 }
@@ -208,8 +211,10 @@ mod tests {
         let mut bufs = AlignmentBuffers::new(4);
         let ctx = ctx_for(&mut c, node, 0, 1);
         let aligned = bufs.read_and_align(&ctx);
-        assert_eq!(aligned.al_dm[1], Some(s));
-        assert_eq!(aligned.al_dm[2], None, "invalid row is ε");
+        assert_eq!(bufs.aligned_rows()[1], s.bits());
+        assert_ne!(aligned.present & 1 << 1, 0, "valid row is present");
+        assert_eq!(aligned.present & 1 << 2, 0, "invalid row is ε");
+        assert_eq!(aligned.epsilon_rows(), 3);
         assert!(!aligned.al_ls.get(2));
         assert!(aligned.al_ls.get(1));
     }
@@ -292,6 +297,7 @@ mod tests {
         // prev for the first three positions.
         let ctx = ctx_for(&mut c, node, 3, 2);
         let aligned2 = bufs.read_and_align(&ctx);
-        assert_eq!(aligned2.al_dm[1], Some(accused));
+        assert_eq!(bufs.aligned_rows()[1], accused.bits());
+        assert_ne!(aligned2.present & 1 << 1, 0);
     }
 }

@@ -33,9 +33,9 @@ use tt_sim::{
 
 use crate::alignment::{diagnosis_lag, syndrome_reference_round};
 use crate::config::ProtocolConfig;
-use crate::matrix::DiagnosticMatrix;
+use crate::matrix::{health_mask, DiagnosticMatrix};
 use crate::penalty::{PenaltyReward, PrTransition, ReintegrationPolicy};
-use crate::pipeline::AlignmentBuffers;
+use crate::pipeline::{Aligned, AlignmentBuffers};
 use crate::syndrome::{Syndrome, SyndromeRow};
 
 /// Emits the contested [`MetricsEvent::VoteTally`]s of one analysis phase
@@ -276,7 +276,8 @@ pub struct DiagJob {
     log_health: bool,
     log_counters: bool,
     activations: u64,
-    /// Recycled row storage for the per-activation [`DiagnosticMatrix`].
+    /// Recycled row storage for the [`DiagnosticMatrix`] the vote tallies
+    /// are read from when a sink is enabled.
     matrix_scratch: Vec<SyndromeRow>,
     /// Recycled buffer for the per-activation consistent health vector.
     hv_scratch: Vec<bool>,
@@ -383,7 +384,7 @@ impl DiagJob {
     }
 
     /// Phases 4–5: voting, health vector, counters, isolation.
-    fn analyze_and_update(&mut self, ctx: &mut JobCtx<'_>, al_dm: &[SyndromeRow]) {
+    fn analyze_and_update(&mut self, ctx: &mut JobCtx<'_>, aligned: &Aligned) {
         let k = ctx.round();
         let lag = diagnosis_lag(self.config.all_send_curr_round());
         let Some(diagnosed) = k.checked_sub(lag) else {
@@ -392,32 +393,36 @@ impl DiagJob {
         if self.activations < lag {
             return; // pipeline not yet full: no complete instance exists
         }
-        self.matrix_scratch.clear();
-        self.matrix_scratch.extend_from_slice(al_dm);
-        // The node's own row comes from its local buffer, not the bus.
-        if let Some(prev_round) = k.checked_sub(1) {
-            if let Some(own) = self.bufs.own_row_for_tx_round(prev_round) {
-                self.matrix_scratch[self.node.index()] = Some(own);
-            }
-        }
-        let matrix = DiagnosticMatrix::new(std::mem::take(&mut self.matrix_scratch));
         let node = self.node;
-        matrix.consistent_health_vector_into(&mut self.hv_scratch, |j| {
+        let present = self.bufs.install_own_row(aligned, node, k);
+        let rows = self.bufs.aligned_rows();
+        let healthy = health_mask(rows, present, |j| {
             if j == node {
                 ctx.collision_ok(diagnosed)
             } else {
                 None
             }
         });
+        self.hv_scratch.clear();
+        self.hv_scratch
+            .extend((0..rows.len()).map(|j| healthy & 1 << j != 0));
         let sink = ctx.metrics();
         let metrics_on = sink.enabled();
-        if metrics_on {
-            emit_vote_tallies(sink, &matrix, node, k, diagnosed);
-        }
         let tracer = ctx.tracing();
         let tracing_on = tracer.enabled();
-        if tracing_on {
-            emit_vote_spans(tracer, &matrix, node, k, diagnosed);
+        if metrics_on || tracing_on {
+            let matrix = DiagnosticMatrix::from_words(
+                rows,
+                present,
+                std::mem::take(&mut self.matrix_scratch),
+            );
+            if metrics_on {
+                emit_vote_tallies(sink, &matrix, node, k, diagnosed);
+            }
+            if tracing_on {
+                emit_vote_spans(tracer, &matrix, node, k, diagnosed);
+            }
+            self.matrix_scratch = matrix.into_rows();
         }
         let newly_isolated = self.pr.update_observed(&self.hv_scratch, |t| {
             sink.counter("core.pr_transitions", 1);
@@ -455,8 +460,6 @@ impl DiagJob {
                 health: self.hv_scratch.clone(),
             });
         }
-        // Reclaim the matrix's row storage for the next activation.
-        self.matrix_scratch = matrix.into_rows();
     }
 }
 
@@ -504,7 +507,7 @@ impl Job for DiagJob {
             );
         }
         // Phases 4 & 5: analysis + counter update.
-        self.analyze_and_update(ctx, &aligned.al_dm);
+        self.analyze_and_update(ctx, &aligned);
         // Buffering for the next activation (Alg. 1, lines 16–17).
         self.bufs.commit(aligned);
         self.activations += 1;

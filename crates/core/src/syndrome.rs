@@ -21,6 +21,15 @@ use tt_sim::NodeId;
 /// packed representation).
 pub const MAX_SYNDROME_NODES: usize = 64;
 
+/// The mask of the `n` lowest bits (one per node of an `n`-node cluster).
+pub(crate) fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// The indices of the set bits of `mask`, lowest first.
 pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -52,8 +61,10 @@ impl Syndrome {
     /// Panics if `n` exceeds [`MAX_SYNDROME_NODES`].
     pub fn all_ok(n: usize) -> Self {
         assert!(n <= MAX_SYNDROME_NODES, "cluster too large for a syndrome");
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        Syndrome { n: n as u8, mask }
+        Syndrome {
+            n: n as u8,
+            mask: low_bits(n),
+        }
     }
 
     /// Builds a syndrome from per-node opinions (index = node index).
@@ -116,6 +127,16 @@ impl Syndrome {
         self.mask
     }
 
+    /// The syndrome of packed opinions `mask` (bit `j` = opinion on node
+    /// `j+1`) for an `n`-node cluster; bits at `n` and above are dropped.
+    pub(crate) fn from_mask(n: usize, mask: u64) -> Self {
+        assert!(n <= MAX_SYNDROME_NODES, "cluster too large for a syndrome");
+        Syndrome {
+            n: n as u8,
+            mask: mask & low_bits(n),
+        }
+    }
+
     /// Iterates over the opinions in node order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         let mask = self.mask;
@@ -134,13 +155,11 @@ impl Syndrome {
     /// Encodes the syndrome into its `ceil(N/8)`-byte wire format
     /// (LSB-first bit packing: bit `j` of byte `j / 8` is the opinion on
     /// node `j+1`).
+    ///
+    /// At most eight bytes, so the payload is stored inline in the
+    /// [`Bytes`] and encoding never allocates.
     pub fn encode(&self) -> Bytes {
-        let n = self.n as usize;
-        let mut out = vec![0u8; n.div_ceil(8)];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = (self.mask >> (i * 8)) as u8;
-        }
-        Bytes::from(out)
+        Bytes::copy_from_slice(&self.mask.to_le_bytes()[..(self.n as usize).div_ceil(8)])
     }
 
     /// Decodes a syndrome for an `n`-node cluster from arbitrary bytes.
@@ -155,14 +174,13 @@ impl Syndrome {
     /// Panics if `n` exceeds [`MAX_SYNDROME_NODES`].
     pub fn decode(payload: &[u8], n: usize) -> Self {
         assert!(n <= MAX_SYNDROME_NODES, "cluster too large for a syndrome");
-        let mut mask = 0u64;
-        for (i, &b) in payload.iter().take(n.div_ceil(8)).enumerate() {
-            mask |= u64::from(b) << (i * 8);
+        let mut word = [0u8; 8];
+        let len = payload.len().min(n.div_ceil(8));
+        word[..len].copy_from_slice(&payload[..len]);
+        Syndrome {
+            n: n as u8,
+            mask: u64::from_le_bytes(word) & low_bits(n),
         }
-        if n < 64 {
-            mask &= (1u64 << n) - 1;
-        }
-        Syndrome { n: n as u8, mask }
     }
 }
 

@@ -167,14 +167,23 @@ pub struct TxOutcome {
 
 /// A reusable, caller-owned buffer holding one slot's transmission outcome.
 ///
-/// [`FaultPipeline::transmit_into`] fills it in place, reusing the
-/// `receptions` allocation across slots; the engine owns one per cluster, so
-/// steady-state rounds do not allocate on the transmission path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`FaultPipeline::transmit_into`] fills it in place; the engine owns one
+/// per cluster. The outcome is stored once: the value on the bus, a mask of
+/// the receivers that locally detected the frame, and a per-receiver
+/// override only where a receiver accepted a different payload (as a
+/// [`crate::ReplicatedBus`] can produce). Read it per receiver through
+/// [`SlotOutcome::received`] or [`SlotOutcome::reception`]. It covers
+/// clusters of up to [`crate::MAX_NODES`] receivers.
+#[derive(Debug, Clone)]
 pub struct SlotOutcome {
-    /// Reception per receiver index (length `n_nodes` after a fill; the
-    /// entry at the sender's own index reflects its loop-back reception).
-    pub receptions: Vec<Reception>,
+    n_nodes: usize,
+    /// The payload every non-detecting receiver accepted, unless overridden.
+    value: Bytes,
+    /// Bit `rx`: receiver `rx` locally detected the frame.
+    detected: u64,
+    /// `(rx, payload)` for each receiver that accepted a payload other than
+    /// `value`, in receiver order.
+    overrides: Vec<(usize, Bytes)>,
     /// What the sender's local collision detector observed.
     pub collision_ok: bool,
     /// Ground-truth classification for the trace/oracles.
@@ -187,29 +196,102 @@ impl Default for SlotOutcome {
     }
 }
 
+/// Equal when every receiver's reception, the collision-detector view and
+/// the class agree, however the value and its overrides are laid out.
+impl PartialEq for SlotOutcome {
+    fn eq(&self, other: &SlotOutcome) -> bool {
+        self.n_nodes == other.n_nodes
+            && self.collision_ok == other.collision_ok
+            && self.class == other.class
+            && (0..self.n_nodes).all(|rx| self.received(rx) == other.received(rx))
+    }
+}
+
+impl Eq for SlotOutcome {}
+
 impl SlotOutcome {
     /// An empty buffer; the first fill sizes it.
     pub fn new() -> Self {
         SlotOutcome {
-            receptions: Vec::new(),
+            n_nodes: 0,
+            value: Bytes::new(),
+            detected: 0,
+            overrides: Vec::new(),
             collision_ok: true,
             class: SlotFaultClass::Correct,
         }
     }
 
-    /// An empty buffer pre-sized for an `n_nodes` cluster.
-    pub fn with_capacity(n_nodes: usize) -> Self {
-        SlotOutcome {
-            receptions: Vec::with_capacity(n_nodes),
-            collision_ok: true,
-            class: SlotFaultClass::Correct,
+    /// Number of receivers covered by the last fill.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// The payload receiver `rx` accepted, or `None` if it locally detected
+    /// the frame.
+    pub fn received(&self, rx: usize) -> Option<&Bytes> {
+        debug_assert!(rx < self.n_nodes, "receiver {rx} out of range");
+        if self.detected & (1 << rx) != 0 {
+            return None;
+        }
+        Some(
+            self.overrides
+                .iter()
+                .find(|(r, _)| *r == rx)
+                .map_or(&self.value, |(_, p)| p),
+        )
+    }
+
+    /// Receiver `rx`'s reception, as a controller takes it.
+    pub fn reception(&self, rx: usize) -> Reception {
+        match self.received(rx) {
+            Some(p) => Reception::Valid(p.clone()),
+            None => Reception::Detected,
+        }
+    }
+
+    /// Every receiver's reception, in receiver order.
+    pub fn receptions(&self) -> impl Iterator<Item = Reception> + '_ {
+        (0..self.n_nodes).map(|rx| self.reception(rx))
+    }
+
+    /// Fills the buffer with one value for every receiver outside the
+    /// `detected` mask.
+    pub(crate) fn set_uniform(&mut self, n_nodes: usize, value: Bytes, detected: u64) {
+        assert!(
+            n_nodes <= crate::MAX_NODES,
+            "a slot outcome covers at most {} receivers, got {n_nodes}",
+            crate::MAX_NODES
+        );
+        self.n_nodes = n_nodes;
+        self.value = value;
+        self.detected = detected;
+        self.overrides.clear();
+    }
+
+    /// Records that receiver `rx` accepted `payload`, keeping the first
+    /// accepted payload as the bus value and any other as an override.
+    /// Receivers must be added in increasing order after a
+    /// [`SlotOutcome::set_uniform`] that marked them all detected.
+    pub(crate) fn accept(&mut self, rx: usize, payload: &Bytes) {
+        let first = self.detected == crate::controller::nodes_mask(self.n_nodes);
+        self.detected &= !(1 << rx);
+        if first {
+            self.value = payload.clone();
+        } else if *payload != self.value {
+            self.overrides.push((rx, payload.clone()));
         }
     }
 
     /// Moves a by-value outcome into the buffer, reusing its allocation.
     pub fn fill_from(&mut self, outcome: TxOutcome) {
-        self.receptions.clear();
-        self.receptions.extend(outcome.receptions);
+        let n = outcome.receptions.len();
+        self.set_uniform(n, Bytes::new(), crate::controller::nodes_mask(n));
+        for (rx, r) in outcome.receptions.iter().enumerate() {
+            if let Reception::Valid(p) = r {
+                self.accept(rx, p);
+            }
+        }
         self.collision_ok = outcome.collision_ok;
         self.class = outcome.class;
     }
@@ -217,7 +299,7 @@ impl SlotOutcome {
     /// Converts the buffer into an owned [`TxOutcome`], consuming it.
     pub fn into_outcome(self) -> TxOutcome {
         TxOutcome {
-            receptions: self.receptions,
+            receptions: self.receptions().collect(),
             collision_ok: self.collision_ok,
             class: self.class,
         }
@@ -297,17 +379,34 @@ pub fn classify_receptions(
     true_payload: &Bytes,
     sender: NodeId,
 ) -> SlotFaultClass {
+    classify_received(
+        receptions.iter().map(|r| match r {
+            Reception::Valid(p) => Some(p),
+            Reception::Detected => None,
+        }),
+        true_payload,
+        sender,
+    )
+}
+
+/// [`classify_receptions`] over each receiver's accepted payload (`None` =
+/// detected), in receiver order.
+pub(crate) fn classify_received<'a>(
+    received: impl Iterator<Item = Option<&'a Bytes>>,
+    true_payload: &Bytes,
+    sender: NodeId,
+) -> SlotFaultClass {
     let mut valid_true = 0usize;
     let mut valid_wrong = 0usize;
     let mut detected = 0usize;
-    for (rx, r) in receptions.iter().enumerate() {
+    for (rx, r) in received.enumerate() {
         if rx == sender.index() {
             continue; // the sender's loop-back does not classify the slot
         }
         match r {
-            Reception::Valid(p) if p == true_payload => valid_true += 1,
-            Reception::Valid(_) => valid_wrong += 1,
-            Reception::Detected => detected += 1,
+            Some(p) if p == true_payload => valid_true += 1,
+            Some(_) => valid_wrong += 1,
+            None => detected += 1,
         }
     }
     let others = valid_true + valid_wrong + detected;
@@ -328,23 +427,37 @@ pub fn classify_receptions(
 /// granularity (e.g. the low-latency system-level variant of the paper's
 /// Sec. 10) can reuse the exact reception semantics of the simulator.
 pub fn apply_effect(effect: &SlotEffect, ctx: &TxCtx, payload: &Bytes) -> TxOutcome {
-    let mut out = SlotOutcome::with_capacity(ctx.n_nodes);
-    apply_effect_into(effect, ctx, payload, &mut out);
-    out.into_outcome()
+    TxOutcome {
+        receptions: (0..ctx.n_nodes)
+            .map(|rx| effect.reception_for(rx, payload))
+            .collect(),
+        collision_ok: effect.collision_ok(),
+        class: effect.classify(ctx.n_nodes, ctx.sender),
+    }
 }
 
-/// In-place variant of [`apply_effect`]: fills `out`, reusing its buffers.
-///
-/// [`Reception`] payloads are reference-counted [`Bytes`] handles, so
-/// applying `Correct` / `SymmetricMalicious` / `Asymmetric` effects clones
-/// no payload bytes; with a warm buffer the fill performs no heap
-/// allocation at all.
+/// In-place variant of [`apply_effect`]: fills `out` with the one value on
+/// the bus and the mask of receivers that detect it. A payload is cloned
+/// once per slot, and a clone never allocates, so the fill performs no
+/// heap allocation at all.
 pub fn apply_effect_into(effect: &SlotEffect, ctx: &TxCtx, payload: &Bytes, out: &mut SlotOutcome) {
-    out.receptions.clear();
-    out.receptions
-        .extend((0..ctx.n_nodes).map(|rx| effect.reception_for(rx, payload)));
+    let n = ctx.n_nodes;
+    match effect {
+        SlotEffect::Correct => out.set_uniform(n, payload.clone(), 0),
+        SlotEffect::Benign => {
+            out.set_uniform(n, Bytes::new(), crate::controller::nodes_mask(n));
+        }
+        SlotEffect::SymmetricMalicious { payload: wrong } => out.set_uniform(n, wrong.clone(), 0),
+        SlotEffect::Asymmetric { detected_by, .. } => {
+            let detected = detected_by
+                .iter()
+                .filter(|&&rx| rx < n)
+                .fold(0u64, |mask, &rx| mask | 1 << rx);
+            out.set_uniform(n, payload.clone(), detected);
+        }
+    }
     out.collision_ok = effect.collision_ok();
-    out.class = effect.classify(ctx.n_nodes, ctx.sender);
+    out.class = effect.classify(n, ctx.sender);
 }
 
 #[cfg(test)]
@@ -466,7 +579,7 @@ mod tests {
             };
             let legacy = FaultPipeline::transmit(&mut pipeline, &c, &payload);
             FaultPipeline::transmit_into(&mut pipeline, &c, &payload, &mut out);
-            assert_eq!(out.receptions, legacy.receptions);
+            assert!(out.receptions().eq(legacy.receptions.iter().cloned()));
             assert_eq!(out.collision_ok, legacy.collision_ok);
             assert_eq!(out.class, legacy.class);
         }

@@ -13,9 +13,8 @@
 
 use bytes::Bytes;
 
-use crate::bus::{
-    classify_receptions, FaultPipeline, Reception, SlotEffect, SlotOutcome, TxCtx, TxOutcome,
-};
+use crate::bus::{classify_received, FaultPipeline, SlotEffect, SlotOutcome, TxCtx, TxOutcome};
+use crate::controller::nodes_mask;
 
 /// A bus replicated over `K >= 1` independently failing channels.
 ///
@@ -122,38 +121,35 @@ impl FaultPipeline for ReplicatedBus {
     /// Per-receiver merge: the lowest-indexed channel delivering a valid
     /// frame wins; detection requires all channels to fail.
     fn transmit(&mut self, ctx: &TxCtx, payload: &Bytes) -> TxOutcome {
-        let mut out = SlotOutcome::with_capacity(ctx.n_nodes);
+        let mut out = SlotOutcome::new();
         self.transmit_into(ctx, payload, &mut out);
         out.into_outcome()
     }
 
     /// Same per-receiver merge, filling `out` in place: each channel fills
-    /// its own reusable scratch buffer, then the merge clones only
-    /// reference-counted payload handles.
+    /// its own reusable scratch buffer, then each receiver takes the
+    /// payload of the first channel it accepted; receivers that accepted a
+    /// payload other than the first one become overrides.
     fn transmit_into(&mut self, ctx: &TxCtx, payload: &Bytes, out: &mut SlotOutcome) {
         for (channel, scratch) in self.channels.iter_mut().zip(self.scratch.iter_mut()) {
             channel.transmit_into(ctx, payload, scratch);
         }
-        let scratch = &self.scratch;
-        out.receptions.clear();
-        out.receptions.extend((0..ctx.n_nodes).map(|rx| {
-            scratch
-                .iter()
-                .find_map(|o| match &o.receptions[rx] {
-                    Reception::Valid(p) => Some(Reception::Valid(p.clone())),
-                    Reception::Detected => None,
-                })
-                .unwrap_or(Reception::Detected)
-        }));
-        out.collision_ok = scratch.iter().any(|o| o.collision_ok);
-        out.class = classify_receptions(&out.receptions, payload, ctx.sender);
+        let n = ctx.n_nodes;
+        out.set_uniform(n, Bytes::new(), nodes_mask(n));
+        for rx in 0..n {
+            if let Some(p) = self.scratch.iter().find_map(|o| o.received(rx)) {
+                out.accept(rx, p);
+            }
+        }
+        out.collision_ok = self.scratch.iter().any(|o| o.collision_ok);
+        out.class = classify_received((0..n).map(|rx| out.received(rx)), payload, ctx.sender);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{NoFaults, SlotFaultClass};
+    use crate::bus::{NoFaults, Reception, SlotFaultClass};
     use crate::time::{NodeId, RoundIndex};
 
     fn ctx() -> TxCtx {

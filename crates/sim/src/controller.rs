@@ -13,18 +13,30 @@
 //! generated by isolated nodes must be ignored by the communication
 //! controllers of all other nodes").
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
 
 use crate::bus::Reception;
 use crate::time::{NodeId, RoundIndex};
 
-/// How many past rounds of collision-detector outcomes are retained.
+/// The largest cluster a controller covers: validity bits and the active
+/// set are one bit per node in a 64-bit mask.
+pub const MAX_NODES: usize = 64;
+
+/// The mask with one bit set per node of an `n`-node cluster.
+pub(crate) fn nodes_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// How many past rounds of collision-detector outcomes are retained (the
+/// width of the window masks).
 ///
 /// The add-on protocol queries at most `k - 3` (Lemma 1), so a small window
 /// suffices; we keep a margin for the low-latency variant and debugging.
-const COLLISION_HISTORY: usize = 16;
+const COLLISION_HISTORY: u64 = u16::BITS as u64;
 
 /// Health of the local collision detector, used to validate Lemma 3's claim
 /// that a *correct* collision detector is necessary for self-diagnosis
@@ -40,13 +52,11 @@ pub enum CollisionDetectorMode {
     StuckFailed,
 }
 
-/// One remembered collision-detector observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollisionRecord {
-    /// The round of the observed own transmission.
-    pub round: RoundIndex,
-    /// Whether the frame could be read back from the bus.
-    pub ok: bool,
+/// The bit of `round` in a collision-detector window whose newest round is
+/// `newest`, if the round lies inside the window.
+fn window_bit(newest: RoundIndex, round: RoundIndex) -> Option<u16> {
+    let age = newest.as_u64().checked_sub(round.as_u64())?;
+    (age < COLLISION_HISTORY).then(|| 1 << age)
 }
 
 /// The communication controller of one node.
@@ -61,16 +71,23 @@ pub struct Controller {
     n_nodes: usize,
     /// Latest successfully received value per sender (index = sender index).
     iface: Vec<Option<Bytes>>,
-    /// Validity bit per interface variable, updated with each slot.
-    validity: Vec<bool>,
+    /// Validity bit per interface variable (bit = sender index), updated
+    /// with each slot.
+    validity: u64,
     /// Round in which each variable was last successfully updated.
     last_update: Vec<Option<RoundIndex>>,
     /// Payload queued for the node's own next sending slot.
     tx: Bytes,
-    /// Nodes whose traffic is accepted (`false` = isolated, ignore).
-    active: Vec<bool>,
-    /// Recent collision-detector observations, newest at the back.
-    collisions: VecDeque<CollisionRecord>,
+    /// Nodes whose traffic is accepted (bit = node index; clear = isolated,
+    /// ignore).
+    active: u64,
+    /// The newest round with a collision-detector observation. Bit `d` of
+    /// `seen` / `ok` covers round `newest - d`, for the 16 rounds up to it
+    /// (a fixed 16-round window): whether it was observed, and whether the
+    /// own frame read back fine.
+    newest: Option<RoundIndex>,
+    seen: u16,
+    ok: u16,
     mode: CollisionDetectorMode,
 }
 
@@ -79,16 +96,26 @@ impl Controller {
     ///
     /// All interface variables start empty with validity bit 0; all nodes
     /// start active; the transmit buffer starts empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_nodes` exceeds [`MAX_NODES`].
     pub fn new(node: NodeId, n_nodes: usize) -> Self {
+        assert!(
+            n_nodes <= MAX_NODES,
+            "a controller covers at most {MAX_NODES} nodes, got {n_nodes}"
+        );
         Controller {
             node,
             n_nodes,
             iface: vec![None; n_nodes],
-            validity: vec![false; n_nodes],
+            validity: 0,
             last_update: vec![None; n_nodes],
             tx: Bytes::new(),
-            active: vec![true; n_nodes],
-            collisions: VecDeque::with_capacity(COLLISION_HISTORY),
+            active: nodes_mask(n_nodes),
+            newest: None,
+            seen: 0,
+            ok: 0,
             mode: CollisionDetectorMode::Accurate,
         }
     }
@@ -96,6 +123,11 @@ impl Controller {
     /// The node this controller belongs to.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// Cluster size `N`.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
     }
 
     /// Sets the health of the local collision detector.
@@ -125,36 +157,65 @@ impl Controller {
     pub fn deliver(&mut self, sender: NodeId, round: RoundIndex, reception: Reception) {
         let idx = sender.index();
         debug_assert!(idx < self.n_nodes);
-        if !self.active[idx] {
-            self.validity[idx] = false;
-            return;
-        }
+        let bit = 1u64 << idx;
         match reception {
-            Reception::Valid(payload) => {
+            Reception::Valid(payload) if self.active & bit != 0 => {
                 self.iface[idx] = Some(payload);
-                self.validity[idx] = true;
+                self.validity |= bit;
                 self.last_update[idx] = Some(round);
             }
-            Reception::Detected => {
-                self.validity[idx] = false;
-            }
+            _ => self.validity &= !bit,
         }
     }
 
     /// Records the collision-detector observation for the node's own
     /// transmission in `round`.
     pub fn record_collision(&mut self, round: RoundIndex, ok: bool) {
-        if self.collisions.len() == COLLISION_HISTORY {
-            self.collisions.pop_front();
+        // A newer round slides the window forward.
+        let newest = match self.newest {
+            Some(newest) if newest >= round => newest,
+            Some(newest) => {
+                let shift = round.as_u64() - newest.as_u64();
+                if shift >= COLLISION_HISTORY {
+                    (self.seen, self.ok) = (0, 0);
+                } else {
+                    self.seen <<= shift;
+                    self.ok <<= shift;
+                }
+                round
+            }
+            None => round,
+        };
+        self.newest = Some(newest);
+        if let Some(bit) = window_bit(newest, round) {
+            self.seen |= bit;
+            if ok {
+                self.ok |= bit;
+            } else {
+                self.ok &= !bit;
+            }
         }
-        self.collisions.push_back(CollisionRecord { round, ok });
         // The node knows what it sent: its own copy of its own interface
         // variable reflects the transmit buffer, and the validity bit
         // reflects the collision-detector outcome.
         let idx = self.node.index();
         self.iface[idx] = Some(self.tx.clone());
-        self.validity[idx] = self.collision_ok(round).unwrap_or(ok);
+        if self.reported(ok) {
+            self.validity |= 1 << idx;
+        } else {
+            self.validity &= !(1 << idx);
+        }
         self.last_update[idx] = Some(round);
+    }
+
+    /// An observation as the configured [`CollisionDetectorMode`] reports
+    /// it.
+    fn reported(&self, ok: bool) -> bool {
+        match self.mode {
+            CollisionDetectorMode::Accurate => ok,
+            CollisionDetectorMode::StuckOk => true,
+            CollisionDetectorMode::StuckFailed => false,
+        }
     }
 
     /// Queries the local collision detector: was the node's own message in
@@ -164,12 +225,8 @@ impl Controller {
     /// or the round has not been transmitted yet. The answer is filtered
     /// through the configured [`CollisionDetectorMode`].
     pub fn collision_ok(&self, round: RoundIndex) -> Option<bool> {
-        let rec = self.collisions.iter().rev().find(|r| r.round == round)?;
-        Some(match self.mode {
-            CollisionDetectorMode::Accurate => rec.ok,
-            CollisionDetectorMode::StuckOk => true,
-            CollisionDetectorMode::StuckFailed => false,
-        })
+        let bit = window_bit(self.newest?, round)?;
+        (self.seen & bit != 0).then(|| self.reported(self.ok & bit != 0))
     }
 
     /// All interface variables (index = sender index), borrowed. The
@@ -179,9 +236,9 @@ impl Controller {
         &self.iface
     }
 
-    /// All validity bits (index = sender index), borrowed.
-    pub fn validity(&self) -> &[bool] {
-        &self.validity
+    /// All validity bits as a mask (bit = sender index).
+    pub fn validity_mask(&self) -> u64 {
+        self.validity
     }
 
     /// A snapshot of all interface variables (index = sender index).
@@ -191,7 +248,9 @@ impl Controller {
 
     /// A snapshot of all validity bits (index = sender index).
     pub fn validity_snapshot(&self) -> Vec<bool> {
-        self.validity.clone()
+        (0..self.n_nodes)
+            .map(|j| self.validity & (1 << j) != 0)
+            .collect()
     }
 
     /// The round of the last successful update of `sender`'s variable.
@@ -201,17 +260,17 @@ impl Controller {
 
     /// Marks `node` as isolated: its subsequent traffic is ignored.
     pub fn isolate(&mut self, node: NodeId) {
-        self.active[node.index()] = false;
+        self.active &= !(1 << node.index());
     }
 
     /// Marks `node` as active again (reintegration).
     pub fn reintegrate(&mut self, node: NodeId) {
-        self.active[node.index()] = true;
+        self.active |= 1 << node.index();
     }
 
     /// Whether this controller currently accepts traffic from `node`.
     pub fn is_active(&self, node: NodeId) -> bool {
-        self.active[node.index()]
+        self.active & (1 << node.index()) != 0
     }
 }
 
@@ -296,12 +355,12 @@ mod tests {
     #[test]
     fn collision_history_evicts_old_rounds() {
         let mut c = mk();
-        for r in 0..(COLLISION_HISTORY as u64 + 4) {
+        for r in 0..(COLLISION_HISTORY + 4) {
             c.record_collision(RoundIndex::new(r), true);
         }
         assert_eq!(c.collision_ok(RoundIndex::new(0)), None, "aged out");
         assert_eq!(
-            c.collision_ok(RoundIndex::new(COLLISION_HISTORY as u64 + 3)),
+            c.collision_ok(RoundIndex::new(COLLISION_HISTORY + 3)),
             Some(true)
         );
     }

@@ -13,11 +13,11 @@ use bytes::Bytes;
 
 use crate::bus::{FaultPipeline, SlotFaultClass, SlotOutcome, TxCtx};
 use crate::cancel::CancellationToken;
-use crate::controller::Controller;
+use crate::controller::{Controller, MAX_NODES};
 use crate::error::SimError;
 use crate::job::{Job, JobCtx};
 use crate::metrics::{MetricsEvent, MetricsSink, NoopSink};
-use crate::node::Node;
+use crate::node::{Node, ScheduleSource};
 use crate::schedule::{CommunicationSchedule, NodeSchedule};
 use crate::time::{Nanos, NodeId, RoundIndex};
 use crate::trace::{Trace, TraceMode};
@@ -31,9 +31,13 @@ pub struct Cluster {
     pipeline: Box<dyn FaultPipeline>,
     round: RoundIndex,
     trace: Trace,
-    /// Per-node resolved job schedules, refilled (not reallocated) each
-    /// round.
-    resolved: Vec<Vec<NodeSchedule>>,
+    /// This round's activations as `(schedule, node index, job index)`,
+    /// sorted by execution offset, then node, then registration order.
+    dispatch: Vec<(NodeSchedule, usize, usize)>,
+    /// Whether `dispatch` holds the activations of every round: set once it
+    /// is built from static schedules only, cleared when a job is added.
+    /// Otherwise it is refilled (not reallocated) each round.
+    dispatch_fixed: bool,
     /// Transmission outcome buffer, reused for every slot.
     slot_out: SlotOutcome,
     /// Observability sink shared with every job context (a [`NoopSink`] by
@@ -133,6 +137,7 @@ impl Cluster {
             .get_mut(node.index())
             .ok_or(SimError::UnknownNode(node))?
             .add_job(sched, job);
+        self.dispatch_fixed = false;
         Ok(())
     }
 
@@ -172,6 +177,7 @@ impl Cluster {
             .get_mut(node.index())
             .ok_or(SimError::UnknownNode(node))?
             .add_dynamic_job(n, Box::new(offset_of), job);
+        self.dispatch_fixed = false;
         Ok(())
     }
 
@@ -201,38 +207,40 @@ impl Cluster {
         let tracing_on = self.trace_sink.enabled();
         let round_start = metrics_on.then(std::time::Instant::now);
         // Resolve every job's schedule for this round up front (dynamic
-        // schedules are queried exactly once per round, like an OS would),
-        // refilling the cluster-owned scratch buffers in place.
-        for (node, resolved) in self.nodes.iter_mut().zip(self.resolved.iter_mut()) {
-            resolved.clear();
-            resolved.extend(
-                node.jobs_mut()
-                    .iter_mut()
-                    .map(|slot| slot.schedule.resolve(k)),
-            );
+        // schedules are queried exactly once per round, like an OS would)
+        // and order the activations by offset, so each slot runs exactly
+        // its own jobs.
+        if !self.dispatch_fixed {
+            self.dispatch.clear();
+            let mut dynamic = false;
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                for (j, slot) in node.jobs_mut().iter_mut().enumerate() {
+                    dynamic |= matches!(slot.schedule, ScheduleSource::Dynamic { .. });
+                    self.dispatch.push((slot.schedule.resolve(k), i, j));
+                }
+            }
+            self.dispatch
+                .sort_unstable_by_key(|&(sched, i, j)| (sched.l(), i, j));
+            self.dispatch_fixed = !dynamic;
         }
+        let mut next = 0;
         let trace_off = self.trace.mode() == TraceMode::Off;
         for p in 0..n {
             // 1. Jobs scheduled at offset p execute (they have seen slots
             //    0..p of round k).
-            for ((node, controller), resolved) in self
-                .nodes
-                .iter_mut()
-                .zip(self.controllers.iter_mut())
-                .zip(self.resolved.iter())
-            {
-                for (slot, &sched) in node.jobs_mut().iter_mut().zip(resolved.iter()) {
-                    if sched.l() == p {
-                        let mut ctx = JobCtx::with_sinks(
-                            controller,
-                            sched,
-                            k,
-                            &*self.metrics,
-                            &*self.trace_sink,
-                        );
-                        slot.job.execute(&mut ctx);
-                    }
+            while let Some(&(sched, i, j)) = self.dispatch.get(next) {
+                if sched.l() != p {
+                    break;
                 }
+                next += 1;
+                let mut ctx = JobCtx::with_sinks(
+                    &mut self.controllers[i],
+                    sched,
+                    k,
+                    &*self.metrics,
+                    &*self.trace_sink,
+                );
+                self.nodes[i].jobs_mut()[j].job.execute(&mut ctx);
             }
             // 2. The node owning slot p transmits, filling the reusable
             //    outcome buffer in place.
@@ -272,14 +280,13 @@ impl Cluster {
                     .record_with_effect(k, sender, self.slot_out.class, Some(effect));
             }
             // 3. Delivery: receivers update interface variables + validity
-            //    bits; the sender records its collision-detector view.
-            //    Receptions are read out of the reusable buffer; cloning one
-            //    only bumps the payload's reference count.
+            //    bits; the sender records its collision-detector view. Each
+            //    receiver takes its own copy of the value on the bus.
             for (rx, controller) in self.controllers.iter_mut().enumerate() {
                 if rx == p {
                     controller.record_collision(k, self.slot_out.collision_ok);
                 } else {
-                    controller.deliver(sender, k, self.slot_out.receptions[rx].clone());
+                    controller.deliver(sender, k, self.slot_out.reception(rx));
                 }
             }
         }
@@ -414,8 +421,16 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for invalid schedules.
+    /// Returns [`SimError::InvalidConfig`] for invalid schedules and for
+    /// clusters of more than [`MAX_NODES`] nodes (controllers keep one
+    /// validity bit per node in a 64-bit mask).
     pub fn build(self, pipeline: Box<dyn FaultPipeline>) -> Result<Cluster, SimError> {
+        if self.n_nodes > MAX_NODES {
+            return Err(SimError::InvalidConfig(format!(
+                "at most {MAX_NODES} nodes, got {}",
+                self.n_nodes
+            )));
+        }
         let schedule = CommunicationSchedule::new(self.n_nodes, self.round_length)?;
         let nodes = NodeId::all(self.n_nodes).map(Node::new).collect();
         let controllers = NodeId::all(self.n_nodes)
@@ -428,8 +443,9 @@ impl ClusterBuilder {
             pipeline,
             round: RoundIndex::ZERO,
             trace: Trace::new(self.trace_mode),
-            resolved: vec![Vec::new(); self.n_nodes],
-            slot_out: SlotOutcome::with_capacity(self.n_nodes),
+            dispatch: Vec::with_capacity(self.n_nodes),
+            dispatch_fixed: false,
+            slot_out: SlotOutcome::new(),
             metrics: self.metrics.unwrap_or_else(|| Arc::new(NoopSink)),
             trace_sink: self.trace_sink.unwrap_or_else(|| Arc::new(NoopTraceSink)),
             cancel: self.cancel.unwrap_or_default(),
@@ -603,6 +619,23 @@ mod tests {
         });
         assert_eq!(executed, 2);
         assert_eq!(cluster.round(), RoundIndex::new(2));
+    }
+
+    #[test]
+    fn build_accepts_64_nodes_and_refuses_65() {
+        let wide = ClusterBuilder::new(64)
+            .round_length_ns(64 * 1_000)
+            .build(Box::new(NoFaults))
+            .expect("64 nodes fit the validity mask");
+        assert_eq!(wide.schedule().n_nodes(), 64);
+        let err = ClusterBuilder::new(65)
+            .round_length_ns(65 * 1_000)
+            .build(Box::new(NoFaults))
+            .unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig(msg) if msg.contains("65")),
+            "{err}"
+        );
     }
 
     #[test]

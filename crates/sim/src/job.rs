@@ -120,7 +120,7 @@ impl<'a> JobCtx<'a> {
 
     /// Cluster size `N`.
     pub fn n_nodes(&self) -> usize {
-        self.controller.validity().len()
+        self.controller.n_nodes()
     }
 
     /// The paper's `l_i` for this node's schedule.
@@ -151,10 +151,10 @@ impl<'a> JobCtx<'a> {
         self.controller.validity_snapshot()
     }
 
-    /// Borrows all validity bits without copying (the allocation-free
-    /// counterpart of [`JobCtx::validity_bits`]).
-    pub fn validity(&self) -> &[bool] {
-        self.controller.validity()
+    /// All validity bits as a mask, bit `j` for the sender at index `j`
+    /// (the allocation-free counterpart of [`JobCtx::validity_bits`]).
+    pub fn validity_mask(&self) -> u64 {
+        self.controller.validity_mask()
     }
 
     /// Writes the node's outgoing interface variable (`write_iface`).

@@ -79,7 +79,7 @@ pub use bus::{
 pub use cancel::CancellationToken;
 pub use channels::ReplicatedBus;
 pub use clock::{ClockConfig, ClockDrivenPipeline, ClockEnsemble};
-pub use controller::{CollisionDetectorMode, CollisionRecord, Controller};
+pub use controller::{CollisionDetectorMode, Controller, MAX_NODES};
 pub use engine::{Cluster, ClusterBuilder};
 pub use error::SimError;
 pub use frame::{crc32, Frame, FrameError};

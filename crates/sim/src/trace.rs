@@ -65,8 +65,11 @@ impl EffectRecord {
     /// replicated bus delivering different valid payloads to different
     /// receivers) are approximated by their dominant class.
     pub fn from_outcome(outcome: &TxOutcome, true_payload: &[u8], sender: NodeId) -> Self {
-        Self::from_receptions(
-            &outcome.receptions,
+        Self::from_received(
+            outcome.receptions.iter().map(|r| match r {
+                Reception::Valid(p) => Some(&p[..]),
+                Reception::Detected => None,
+            }),
             outcome.collision_ok,
             outcome.class,
             true_payload,
@@ -78,8 +81,8 @@ impl EffectRecord {
     /// [`SlotOutcome`] buffer (same semantics as
     /// [`EffectRecord::from_outcome`]).
     pub fn from_slot_outcome(outcome: &SlotOutcome, true_payload: &[u8], sender: NodeId) -> Self {
-        Self::from_receptions(
-            &outcome.receptions,
+        Self::from_received(
+            (0..outcome.n_nodes()).map(|rx| outcome.received(rx).map(|p| &p[..])),
             outcome.collision_ok,
             outcome.class,
             true_payload,
@@ -87,8 +90,10 @@ impl EffectRecord {
         )
     }
 
-    fn from_receptions(
-        receptions: &[Reception],
+    /// The record of an outcome given as each receiver's accepted payload
+    /// (`None` = detected), in receiver order.
+    fn from_received<'a>(
+        mut received: impl Iterator<Item = Option<&'a [u8]>>,
         collision_ok: bool,
         class: SlotFaultClass,
         true_payload: &[u8],
@@ -97,21 +102,16 @@ impl EffectRecord {
         match class {
             SlotFaultClass::Correct => EffectRecord::Correct,
             SlotFaultClass::Benign => EffectRecord::Benign,
-            SlotFaultClass::SymmetricMalicious => {
-                let wrong = receptions
-                    .iter()
-                    .find_map(|r| match r {
-                        Reception::Valid(p) if p != true_payload => Some(p.to_vec()),
-                        _ => None,
-                    })
-                    .unwrap_or_default();
-                EffectRecord::Malicious(wrong)
-            }
+            SlotFaultClass::SymmetricMalicious => EffectRecord::Malicious(
+                received
+                    .find_map(|r| r.filter(|p| *p != true_payload))
+                    .map(<[u8]>::to_vec)
+                    .unwrap_or_default(),
+            ),
             SlotFaultClass::Asymmetric => EffectRecord::Asymmetric {
-                detected_by: receptions
-                    .iter()
+                detected_by: received
                     .enumerate()
-                    .filter(|(rx, r)| *rx != sender.index() && !r.is_valid())
+                    .filter(|(rx, r)| *rx != sender.index() && r.is_none())
                     .map(|(rx, _)| rx)
                     .collect(),
                 collision_ok,

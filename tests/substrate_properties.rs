@@ -139,7 +139,7 @@ proptest! {
         let mut closure = move |_: &TxCtx| eff.clone();
         let legacy = FaultPipeline::transmit(&mut closure, &c, &payload);
         FaultPipeline::transmit_into(&mut closure, &c, &payload, &mut out);
-        prop_assert_eq!(&out.receptions, &legacy.receptions);
+        prop_assert_eq!(&out.receptions().collect::<Vec<_>>(), &legacy.receptions);
         prop_assert_eq!(out.collision_ok, legacy.collision_ok);
         prop_assert_eq!(out.class, legacy.class);
 
@@ -153,7 +153,7 @@ proptest! {
         }
         let mut default_path = EffectOnly(e1.clone());
         default_path.transmit_into(&c, &payload, &mut out);
-        prop_assert_eq!(&out.receptions, &legacy.receptions);
+        prop_assert_eq!(&out.receptions().collect::<Vec<_>>(), &legacy.receptions);
         prop_assert_eq!(out.collision_ok, legacy.collision_ok);
         prop_assert_eq!(out.class, legacy.class);
 
@@ -166,7 +166,7 @@ proptest! {
         };
         let bus_legacy = mk_bus(e1.clone(), e2.clone()).transmit(&c, &payload);
         mk_bus(e1.clone(), e2.clone()).transmit_into(&c, &payload, &mut out);
-        prop_assert_eq!(&out.receptions, &bus_legacy.receptions);
+        prop_assert_eq!(&out.receptions().collect::<Vec<_>>(), &bus_legacy.receptions);
         prop_assert_eq!(out.collision_ok, bus_legacy.collision_ok);
         prop_assert_eq!(out.class, bus_legacy.class);
     }
