@@ -31,8 +31,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use tt_sim::{
-    apply_effect_into, FaultPipeline, NodeId, RoundIndex, SlotFaultClass, SlotOutcome,
-    TxCtx,
+    apply_effect_into, FaultPipeline, NodeId, RoundIndex, SlotFaultClass, SlotOutcome, TxCtx,
 };
 
 use crate::syndrome::{bits, Syndrome, MAX_SYNDROME_NODES};

@@ -282,18 +282,16 @@ mod tests {
     /// 5-node matrices.
     #[test]
     fn health_mask_matches_the_column_vote() {
-        let check = |n: usize, rows: &[u64], present: u64, fallback: &dyn Fn(NodeId) -> Option<bool>| {
-            let m = DiagnosticMatrix::from_words(rows, present, Vec::new());
-            let want = m.consistent_health_vector(fallback);
-            let got = health_mask(rows, present, fallback);
-            let got: Vec<bool> = (0..n).map(|j| got & 1 << j != 0).collect();
-            assert_eq!(got, want, "rows {rows:?} present {present:#b}");
-        };
-        let fallbacks: [&dyn Fn(NodeId) -> Option<bool>; 3] = [
-            &|_| None,
-            &|j| Some(j != NodeId::new(2)),
-            &|_| Some(false),
-        ];
+        let check =
+            |n: usize, rows: &[u64], present: u64, fallback: &dyn Fn(NodeId) -> Option<bool>| {
+                let m = DiagnosticMatrix::from_words(rows, present, Vec::new());
+                let want = m.consistent_health_vector(fallback);
+                let got = health_mask(rows, present, fallback);
+                let got: Vec<bool> = (0..n).map(|j| got & 1 << j != 0).collect();
+                assert_eq!(got, want, "rows {rows:?} present {present:#b}");
+            };
+        let fallbacks: [&dyn Fn(NodeId) -> Option<bool>; 3] =
+            [&|_| None, &|j| Some(j != NodeId::new(2)), &|_| Some(false)];
         for code in 0..9u64.pow(3) {
             let cells: Vec<u64> = (0..3).map(|i| code / 9u64.pow(i) % 9).collect();
             let present = cells

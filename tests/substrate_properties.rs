@@ -1,14 +1,22 @@
 //! Property-based tests for the substrates added around the protocol:
-//! replicated bus merge laws, clock-ensemble invariants and the TTP/C
-//! baseline's determinism and single-fault guarantees.
+//! replicated bus merge laws, the engine's slot delivery against a plain
+//! per-receiver model, clock-ensemble invariants and the TTP/C baseline's
+//! determinism and single-fault guarantees.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use tt_baselines::TtpcCluster;
 use tt_sim::{
-    apply_effect, ClockConfig, ClockEnsemble, FaultPipeline, NodeId, Reception, ReplicatedBus,
-    RoundIndex, SlotEffect, SlotOutcome, TxCtx,
+    apply_effect, ClockConfig, ClockEnsemble, Cluster, ClusterBuilder, CollisionDetectorMode,
+    FaultPipeline, Job, JobCtx, NodeId, Reception, ReplicatedBus, RoundIndex, SlotEffect,
+    SlotOutcome, TraceMode, TxCtx, TxOutcome,
 };
 
 fn ctx(n: usize, abs: u64) -> TxCtx {
@@ -18,6 +26,295 @@ fn ctx(n: usize, abs: u64) -> TxCtx {
         n_nodes: n,
         abs_slot: abs,
     }
+}
+
+/// One slot as the plain `transmit` path saw it: context, the sender's
+/// payload and the per-receiver outcome.
+type SlotLog = Arc<Mutex<Vec<(TxCtx, Bytes, TxOutcome)>>>;
+
+/// Hands the engine the `transmit_into` outcome of `inner` while logging
+/// what `transmit` returns for the same slot (`inner` is stateless, so
+/// asking twice is harmless).
+struct Recorder {
+    inner: Box<dyn FaultPipeline>,
+    log: SlotLog,
+}
+
+impl FaultPipeline for Recorder {
+    fn effect(&mut self, ctx: &TxCtx) -> SlotEffect {
+        self.inner.effect(ctx)
+    }
+
+    fn transmit_into(&mut self, ctx: &TxCtx, payload: &Bytes, out: &mut SlotOutcome) {
+        let legacy = self.inner.transmit(ctx, payload);
+        self.log
+            .lock()
+            .expect("log lock")
+            .push((*ctx, payload.clone(), legacy));
+        self.inner.transmit_into(ctx, payload, out);
+    }
+}
+
+/// The payload `node` writes in `round`: 1 to 30 bytes, so both inline and
+/// shared `Bytes` travel.
+fn payload_of(node: NodeId, round: u64) -> Vec<u8> {
+    let len = 1 + (node.index() * 7 + round as usize) % 30;
+    (0..len)
+        .map(|i| node.index() as u8 ^ (round as u8).wrapping_add(i as u8))
+        .collect()
+}
+
+/// Writes [`payload_of`] every round and isolates the planned senders.
+struct Writer {
+    /// `(round, sender)`: isolate `sender` when running in `round`.
+    isolations: Vec<(u64, NodeId)>,
+}
+
+impl Job for Writer {
+    fn execute(&mut self, ctx: &mut JobCtx<'_>) {
+        let k = ctx.round().as_u64();
+        for &(round, sender) in &self.isolations {
+            if round == k {
+                ctx.isolate(sender);
+            }
+        }
+        ctx.write_iface(payload_of(ctx.node(), k));
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// What one controller should hold, kept as plainly as possible.
+struct ReceiverModel {
+    iface: Vec<Option<Vec<u8>>>,
+    validity: Vec<bool>,
+    last_update: Vec<Option<RoundIndex>>,
+    active: Vec<bool>,
+    /// Every own-slot collision-detector observation, by round.
+    collisions: BTreeMap<u64, bool>,
+    mode: CollisionDetectorMode,
+}
+
+impl ReceiverModel {
+    fn new(n: usize, mode: CollisionDetectorMode) -> Self {
+        ReceiverModel {
+            iface: vec![None; n],
+            validity: vec![false; n],
+            last_update: vec![None; n],
+            active: vec![true; n],
+            collisions: BTreeMap::new(),
+            mode,
+        }
+    }
+
+    fn reported(&self, ok: bool) -> bool {
+        match self.mode {
+            CollisionDetectorMode::Accurate => ok,
+            CollisionDetectorMode::StuckOk => true,
+            CollisionDetectorMode::StuckFailed => false,
+        }
+    }
+
+    /// The collision detector's answer for `round` once `now` has run: an
+    /// observation is kept for the 16 rounds up to the newest one.
+    fn collision_ok(&self, round: u64, now: u64) -> Option<bool> {
+        if round > now || now - round >= 16 {
+            return None;
+        }
+        self.collisions.get(&round).map(|&ok| self.reported(ok))
+    }
+}
+
+/// A random slot effect over `n` receivers: correct, benign, malicious (1
+/// to 30 bytes) or asymmetric over a random subset, sometimes naming a
+/// receiver outside the cluster.
+fn random_effect(rng: &mut StdRng, n: usize) -> SlotEffect {
+    match rng.gen_range(0..10) {
+        0..=3 => SlotEffect::Correct,
+        4 | 5 => SlotEffect::Benign,
+        6 | 7 => {
+            let len = rng.gen_range(1..=30);
+            SlotEffect::SymmetricMalicious {
+                payload: (0..len).map(|_| rng.gen::<u8>()).collect(),
+            }
+        }
+        _ => random_asymmetric(rng, n),
+    }
+}
+
+fn random_asymmetric(rng: &mut StdRng, n: usize) -> SlotEffect {
+    let mut detected_by: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+    if rng.gen_bool(0.1) {
+        detected_by.push(n + rng.gen_range(0..3usize));
+    }
+    SlotEffect::Asymmetric {
+        detected_by,
+        collision_ok: rng.gen_bool(0.5),
+    }
+}
+
+/// Runs an `n`-node cluster for `rounds` rounds under random per-slot
+/// effects, isolations, job offsets and collision-detector modes, and
+/// after every round compares each controller with a per-receiver model
+/// fed from `FaultPipeline::transmit`. With `replicated`, the bus has two
+/// channels: channel B is malicious exactly where channel A is asymmetric
+/// and healthy elsewhere, so receivers accept different payloads. Returns
+/// how many slots delivered different payloads to different receivers.
+fn check_delivery_against_model(seed: u64, n: usize, rounds: u64, replicated: bool) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let slots = (rounds * n as u64) as usize;
+    let mut table_a: Vec<SlotEffect> = (0..slots).map(|_| random_effect(&mut rng, n)).collect();
+    // Round 1, slot 0: always asymmetric, so the replicated bus mixes.
+    table_a[n] = random_asymmetric(&mut rng, n);
+    let table_b: Vec<SlotEffect> = table_a
+        .iter()
+        .map(|e| match e {
+            SlotEffect::Asymmetric { .. } => SlotEffect::SymmetricMalicious {
+                payload: Bytes::from_static(b"channel B"),
+            },
+            _ => SlotEffect::Correct,
+        })
+        .collect();
+    let channel = |table: Vec<SlotEffect>| -> Box<dyn FaultPipeline> {
+        Box::new(move |ctx: &TxCtx| table[ctx.abs_slot as usize].clone())
+    };
+    let inner: Box<dyn FaultPipeline> = if replicated {
+        Box::new(ReplicatedBus::new(vec![channel(table_a), channel(table_b)]))
+    } else {
+        channel(table_a)
+    };
+    let log = SlotLog::default();
+    let mut cluster: Cluster = ClusterBuilder::new(n)
+        .round_length_ns(n as u64 * 1_000)
+        .trace_mode(TraceMode::Off)
+        .build(Box::new(Recorder {
+            inner,
+            log: Arc::clone(&log),
+        }))
+        .expect("valid cluster");
+    let mut offsets = Vec::new();
+    let mut plans = Vec::new();
+    let mut models = Vec::new();
+    for id in NodeId::all(n) {
+        let offset = rng.gen_range(0..n);
+        let isolations: Vec<(u64, NodeId)> = (0..rng.gen_range(0..3))
+            .map(|_| {
+                (
+                    rng.gen_range(0..rounds),
+                    NodeId::from_slot(rng.gen_range(0..n)),
+                )
+            })
+            .collect();
+        let mode = match rng.gen_range(0..4) {
+            0 => CollisionDetectorMode::StuckOk,
+            1 => CollisionDetectorMode::StuckFailed,
+            _ => CollisionDetectorMode::Accurate,
+        };
+        cluster
+            .add_job(
+                id,
+                offset,
+                Box::new(Writer {
+                    isolations: isolations.clone(),
+                }),
+            )
+            .expect("node in range");
+        cluster
+            .controller_mut(id)
+            .expect("node in range")
+            .set_collision_detector_mode(mode);
+        offsets.push(offset);
+        plans.push(isolations);
+        models.push(ReceiverModel::new(n, mode));
+    }
+    let mut mixed = 0;
+    for k in 0..rounds {
+        assert!(cluster.run_round());
+        let slots: Vec<(TxCtx, Bytes, TxOutcome)> =
+            std::mem::take(&mut *log.lock().expect("log lock"));
+        assert_eq!(slots.len(), n, "one transmission per slot");
+        for (p, (ctx, payload, out)) in slots.into_iter().enumerate() {
+            assert_eq!(
+                (ctx.round, ctx.sender),
+                (RoundIndex::new(k), NodeId::from_slot(p))
+            );
+            // Jobs at offset p ran before slot p went out.
+            for (i, model) in models.iter_mut().enumerate() {
+                if offsets[i] == p {
+                    for &(round, sender) in &plans[i] {
+                        if round == k {
+                            model.active[sender.index()] = false;
+                        }
+                    }
+                }
+            }
+            let accepted: Vec<&Bytes> = out
+                .receptions
+                .iter()
+                .enumerate()
+                .filter(|&(rx, _)| rx != p)
+                .filter_map(|(_, r)| match r {
+                    Reception::Valid(b) => Some(b),
+                    Reception::Detected => None,
+                })
+                .collect();
+            if accepted.windows(2).any(|w| w[0] != w[1]) {
+                mixed += 1;
+            }
+            for (rx, model) in models.iter_mut().enumerate() {
+                if rx == p {
+                    model.collisions.insert(k, out.collision_ok);
+                    model.iface[p] = Some(payload.to_vec());
+                    model.validity[p] = model.reported(out.collision_ok);
+                    model.last_update[p] = Some(ctx.round);
+                } else if !model.active[p] {
+                    model.validity[p] = false;
+                } else {
+                    match &out.receptions[rx] {
+                        Reception::Valid(b) => {
+                            model.iface[p] = Some(b.to_vec());
+                            model.validity[p] = true;
+                            model.last_update[p] = Some(ctx.round);
+                        }
+                        Reception::Detected => model.validity[p] = false,
+                    }
+                }
+            }
+        }
+        for (i, model) in models.iter().enumerate() {
+            let id = NodeId::from_slot(i);
+            let c = cluster.controller(id).expect("node in range");
+            let iface: Vec<Option<Vec<u8>>> = c
+                .iface()
+                .iter()
+                .map(|v| v.as_ref().map(|b| b.to_vec()))
+                .collect();
+            assert_eq!(iface, model.iface, "iface of {id} after round {k}");
+            assert_eq!(
+                c.validity_snapshot(),
+                model.validity,
+                "validity of {id} after round {k}"
+            );
+            for j in NodeId::all(n) {
+                assert_eq!(
+                    c.last_update(j),
+                    model.last_update[j.index()],
+                    "{id}: last_update({j})"
+                );
+                assert_eq!(c.is_active(j), model.active[j.index()], "{id}: active({j})");
+            }
+            for r in k.saturating_sub(20)..=k + 1 {
+                assert_eq!(
+                    c.collision_ok(RoundIndex::new(r)),
+                    model.collision_ok(r, k),
+                    "{id}: collision_ok(round {r}) after round {k}"
+                );
+            }
+        }
+    }
+    mixed
 }
 
 /// An arbitrary slot effect over `n` nodes (benign-heavy mix).
@@ -169,6 +466,24 @@ proptest! {
         prop_assert_eq!(&out.receptions().collect::<Vec<_>>(), &bus_legacy.receptions);
         prop_assert_eq!(out.collision_ok, bus_legacy.collision_ok);
         prop_assert_eq!(out.class, bus_legacy.class);
+    }
+
+    /// The engine delivers every slot exactly as a plain per-receiver
+    /// model fed from `FaultPipeline::transmit` says: interface values,
+    /// validity bits, freshness, the active set and the 16-round
+    /// collision-detector window, at N = 2, 4, 5 and 64, on a single and a
+    /// replicated bus.
+    #[test]
+    fn delivery_matches_a_per_receiver_model(
+        seed in any::<u64>(),
+        n in prop_oneof![Just(2usize), Just(4usize), Just(5usize), Just(64usize)],
+        replicated in any::<bool>(),
+    ) {
+        let rounds = if n == 64 { 20 } else { 40 };
+        let mixed = check_delivery_against_model(seed, n, rounds, replicated);
+        if replicated && n >= 4 {
+            prop_assert!(mixed > 0, "receivers accepted different payloads somewhere");
+        }
     }
 
     /// Clock ensembles with in-spec drifts stay synchronized for any seed
