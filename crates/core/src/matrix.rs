@@ -101,25 +101,14 @@ impl DiagnosticMatrix {
     /// healthy, preserving correctness.
     pub fn consistent_health_vector(
         &self,
-        collision_fallback: impl FnMut(NodeId) -> Option<bool>,
-    ) -> Vec<bool> {
-        let mut out = Vec::with_capacity(self.n_nodes());
-        self.consistent_health_vector_into(&mut out, collision_fallback);
-        out
-    }
-
-    /// [`DiagnosticMatrix::consistent_health_vector`] writing into a reused
-    /// buffer (cleared first), for allocation-free steady-state voting.
-    pub fn consistent_health_vector_into(
-        &self,
-        out: &mut Vec<bool>,
         mut collision_fallback: impl FnMut(NodeId) -> Option<bool>,
-    ) {
-        out.clear();
-        out.extend(NodeId::all(self.n_nodes()).map(|j| match self.vote(j) {
-            HMaj::Decided(v) => v,
-            HMaj::Undecidable => collision_fallback(j).unwrap_or(true),
-        }));
+    ) -> Vec<bool> {
+        NodeId::all(self.n_nodes())
+            .map(|j| match self.vote(j) {
+                HMaj::Decided(v) => v,
+                HMaj::Undecidable => collision_fallback(j).unwrap_or(true),
+            })
+            .collect()
     }
 
     /// Renders the matrix in the style of the paper's Table 1.

@@ -371,26 +371,11 @@ where
     }
 }
 
-/// Classifies a per-receiver outcome against the true payload, for traces
-/// and oracles: all-valid-and-true = correct, all-detected = benign,
-/// all-valid-but-wrong = symmetric malicious, anything mixed = asymmetric.
-pub fn classify_receptions(
-    receptions: &[Reception],
-    true_payload: &Bytes,
-    sender: NodeId,
-) -> SlotFaultClass {
-    classify_received(
-        receptions.iter().map(|r| match r {
-            Reception::Valid(p) => Some(p),
-            Reception::Detected => None,
-        }),
-        true_payload,
-        sender,
-    )
-}
-
-/// [`classify_receptions`] over each receiver's accepted payload (`None` =
-/// detected), in receiver order.
+/// Classifies a per-receiver outcome, given as each receiver's accepted
+/// payload (`None` = detected) in receiver order, against the true payload,
+/// for traces and oracles: all-valid-and-true = correct, all-detected =
+/// benign, all-valid-but-wrong = symmetric malicious, anything mixed =
+/// asymmetric.
 pub(crate) fn classify_received<'a>(
     received: impl Iterator<Item = Option<&'a Bytes>>,
     true_payload: &Bytes,

@@ -73,8 +73,8 @@ pub use batch::{
     BatchCluster, BatchFaultPlan, BatchLanes, LaneEffect, LaneFault, LockstepJob, MAX_BATCH_NODES,
 };
 pub use bus::{
-    apply_effect, apply_effect_into, classify_receptions, FaultPipeline, NoFaults, Reception,
-    SlotEffect, SlotFaultClass, SlotOutcome, TxCtx, TxOutcome,
+    apply_effect, apply_effect_into, FaultPipeline, NoFaults, Reception, SlotEffect,
+    SlotFaultClass, SlotOutcome, TxCtx, TxOutcome,
 };
 pub use cancel::CancellationToken;
 pub use channels::ReplicatedBus;
