@@ -9,18 +9,24 @@ use tt_analysis::{
     group_chains, isolation_csv, measure_time_to_isolation, render_explore_summary,
     render_provenance_summary, render_supervision_summary, render_sweep_summary, resume_sweep,
     run_sweep, safety_curve_csv, spans_to_jsonl, spans_to_perfetto, sweep_json, tune, DomainSetup,
-    LatencySummary, SweepCheckpoint, SweepConfig, SweepSupervisor, Table, LATENCY_BOUND_ROUNDS,
+    LatencySummary, SweepCheckpoint, SweepSupervisor, Table, LATENCY_BOUND_ROUNDS,
 };
 use tt_bench::{SupervisedCampaign, SupervisorConfig};
 use tt_core::properties::{check_diag_cluster, checkable_rounds};
 use tt_core::{DiagJob, ProtocolConfig};
 use tt_fault::{
-    sec8_classes, AsymmetricDisturbance, Burst, ChaosPlan, ContinuousFault, DisturbanceNode,
+    sec8_classes, AsymmetricDisturbance, Burst, ContinuousFault, DisturbanceNode,
     IntermittentFault, RandomNoise, TransientScenario,
 };
-use tt_sim::{timeline, ClusterBuilder, Nanos, NodeId, RecordingTraceSink, RoundIndex, TraceMode};
+use tt_sim::{
+    timeline, Cluster, ClusterBuilder, FaultPipeline, Nanos, NodeId, RecordingTraceSink,
+    RoundIndex, TraceMode,
+};
 
-use crate::args::{Command, FaultSpec, MetricsFormat, TraceFormat};
+use crate::args::{
+    CampaignOpts, ClusterOpts, Command, ExploreOpts, FaultOpts, FaultSpec, MetricsFormat,
+    MetricsOpts, ReplayOpts, TraceFormat, TraceOpts, TuneSweepOpts,
+};
 
 /// Why a command failed, mapped onto the process exit code: the failure
 /// taxonomy distinguishes "you asked for something invalid" from "the
@@ -86,164 +92,25 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             capacity,
         } => crate::serve::tail(&socket, feed, max, capacity),
         Command::Shutdown { socket } => crate::serve::shutdown(&socket),
-        cmd @ (Command::NetRun { .. } | Command::NetNode { .. }) => crate::net::run(cmd),
+        Command::NetRun(o) => crate::net::net_run(&o),
+        Command::NetNode(o) => crate::net::net_node(&o),
         Command::Tune { domain } => tune_report(&domain),
         Command::Isolation { domain } => isolation_report(&domain),
-        Command::TuneSweep {
-            config,
-            json,
-            csv_dir,
-            check,
-            checkpoint,
-            resume,
-            halt_after,
-        } => tune_sweep(TuneSweepOpts {
-            config,
-            json,
-            csv_dir,
-            check,
-            checkpoint,
-            resume,
-            halt_after,
-        }),
-        Command::Campaign {
-            reps,
-            json,
-            threads,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            halt_after,
-            watchdog_ms,
-            chaos_seed,
-            chaos_panic,
-            chaos_hang,
-            chaos_transient,
-        } => campaign(CampaignOpts {
-            reps,
-            json,
-            threads,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            halt_after,
-            watchdog_ms,
-            chaos: ChaosPlan {
-                seed: chaos_seed,
-                panic_per_mille: chaos_panic,
-                hang_per_mille: chaos_hang,
-                transient_per_mille: chaos_transient,
-                first_attempt_only: false,
-            },
-        }),
-        Command::Simulate {
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            seed,
-            timeline,
-            faults,
-            record,
-        } => {
-            let pipeline = Box::new(build_pipeline(&faults, nodes, seed)?);
-            simulate(nodes, rounds, penalty, reward, timeline, pipeline, record)
-        }
-        Command::Metrics {
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            seed,
-            faults,
-            format,
-            out,
-            record,
-        } => {
-            let pipeline = build_pipeline(&faults, nodes, seed)?;
-            metrics(
-                nodes, rounds, penalty, reward, pipeline, format, out, record,
+        Command::TuneSweep(o) => tune_sweep(&o),
+        Command::Campaign(o) => campaign(&o),
+        Command::Explore(o) => explore(&o),
+        Command::Simulate(o) => {
+            let pipeline = build_pipeline(&o.faults, o.cluster.nodes)?;
+            simulate(
+                &o.cluster,
+                o.timeline,
+                Box::new(pipeline),
+                o.record.as_deref(),
             )
         }
-        Command::Trace {
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            seed,
-            faults,
-            format,
-            out,
-        } => {
-            let pipeline = Box::new(build_pipeline(&faults, nodes, seed)?);
-            trace(nodes, rounds, penalty, reward, pipeline, format, out)
-        }
-        Command::Explore {
-            protocol,
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            seed,
-            budget,
-            max_faults,
-            random,
-            corpus,
-            corpus_out,
-            repro,
-            json,
-            checkpoint,
-            checkpoint_every,
-            resume,
-        } => explore_cmd(ExploreOpts {
-            protocol,
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            seed,
-            budget,
-            max_faults,
-            random,
-            corpus,
-            corpus_out,
-            repro,
-            json,
-            checkpoint,
-            checkpoint_every,
-            resume,
-        }),
-        Command::Replay {
-            trace,
-            nodes,
-            rounds,
-            penalty,
-            reward,
-            timeline,
-        } => {
-            let body = std::fs::read_to_string(&trace)
-                .map_err(|e| internal(format!("reading {trace}: {e}")))?;
-            let restored: tt_sim::Trace = serde_json::from_str(&body)
-                .map_err(|e| internal(format!("parsing {trace}: {e}")))?;
-            // A sender outside the cluster never transmits, so its faults
-            // would vanish from the replay without a trace of it.
-            if let Some(sender) = restored
-                .records()
-                .iter()
-                .map(|r| r.sender)
-                .filter(|s| s.index() >= nodes)
-                .max_by_key(|s| s.index())
-            {
-                return Err(usage(format!(
-                    "replay: {trace} records sender node {} but --nodes is {nodes}; \
-                     replay it with --nodes {} or more",
-                    sender.index() + 1,
-                    sender.index() + 1
-                )));
-            }
-            let pipeline = Box::new(restored.replay_pipeline());
-            simulate(nodes, rounds, penalty, reward, timeline, pipeline, None)
-        }
+        Command::Replay(o) => replay(&o),
+        Command::Metrics(o) => metrics(&o),
+        Command::Trace(o) => trace(&o),
     }
 }
 
@@ -251,11 +118,11 @@ fn round_for(n: usize) -> Nanos {
     Nanos::from_nanos(2_500_000 - (2_500_000 % n as u64))
 }
 
-fn build_pipeline(faults: &[FaultSpec], n: usize, seed: u64) -> Result<DisturbanceNode, CliError> {
+fn build_pipeline(faults: &FaultOpts, n: usize) -> Result<DisturbanceNode, CliError> {
     let sched =
         tt_sim::CommunicationSchedule::new(n, round_for(n)).map_err(|e| usage(e.to_string()))?;
-    let mut node = DisturbanceNode::new(seed);
-    for f in faults {
+    let mut node = DisturbanceNode::new(faults.seed);
+    for f in &faults.faults {
         match f {
             FaultSpec::Crash { node: id, round } => {
                 if *id as usize > n {
@@ -318,29 +185,37 @@ fn build_pipeline(faults: &[FaultSpec], n: usize, seed: u64) -> Result<Disturban
     Ok(node)
 }
 
-fn simulate(
-    n: usize,
-    rounds: u64,
-    penalty: u64,
-    reward: u64,
-    show_timeline: bool,
-    pipeline: Box<dyn tt_sim::FaultPipeline>,
-    record: Option<String>,
-) -> Result<String, CliError> {
-    let config = ProtocolConfig::builder(n)
-        .penalty_threshold(penalty)
-        .reward_threshold(reward)
+/// Builds and runs the `DiagJob` cluster behind `simulate`, `replay`,
+/// `metrics` and `trace`; `attach` adds the command's sinks and trace mode.
+fn run_diag_cluster(
+    c: &ClusterOpts,
+    attach: impl FnOnce(ClusterBuilder) -> ClusterBuilder,
+    pipeline: Box<dyn FaultPipeline>,
+) -> Result<Cluster, CliError> {
+    let config = ProtocolConfig::builder(c.nodes)
+        .penalty_threshold(c.penalty)
+        .reward_threshold(c.reward)
         .build()
         .map_err(|e| usage(e.to_string()))?;
-    let mut cluster = ClusterBuilder::new(n)
-        .round_length(round_for(n))
-        .trace_mode(TraceMode::Anomalies)
+    let mut cluster = attach(ClusterBuilder::new(c.nodes).round_length(round_for(c.nodes)))
         .build_with_jobs(|id| Box::new(DiagJob::new(id, config.clone())), pipeline);
-    cluster.run_rounds(rounds);
+    cluster.run_rounds(c.rounds);
+    Ok(cluster)
+}
 
+fn simulate(
+    c: &ClusterOpts,
+    show_timeline: bool,
+    pipeline: Box<dyn FaultPipeline>,
+    record: Option<&str>,
+) -> Result<String, CliError> {
+    let (n, rounds) = (c.nodes, c.rounds);
+    let cluster = run_diag_cluster(c, |b| b.trace_mode(TraceMode::Anomalies), pipeline)?;
     let mut out = format!(
-        "{n}-node cluster, {rounds} rounds of {}, P = {penalty}, R = {reward}\n\n",
-        round_for(n)
+        "{n}-node cluster, {rounds} rounds of {}, P = {}, R = {}\n\n",
+        round_for(n),
+        c.penalty,
+        c.reward
     );
     let trace = cluster.trace();
     out.push_str(&format!(
@@ -390,9 +265,35 @@ fn simulate(
         report.violations.len()
     ));
     if let Some(path) = record {
-        out.push_str(&record_fault_trace(cluster.trace(), &path)?);
+        out.push_str(&record_fault_trace(cluster.trace(), path)?);
     }
     Ok(out)
+}
+
+fn replay(o: &ReplayOpts) -> Result<String, CliError> {
+    let (trace, nodes) = (&o.trace, o.cluster.nodes);
+    let body =
+        std::fs::read_to_string(trace).map_err(|e| internal(format!("reading {trace}: {e}")))?;
+    let restored: tt_sim::Trace =
+        serde_json::from_str(&body).map_err(|e| internal(format!("parsing {trace}: {e}")))?;
+    // A sender outside the cluster never transmits, so its faults would
+    // vanish from the replay without a trace of it.
+    if let Some(sender) = restored
+        .records()
+        .iter()
+        .map(|r| r.sender)
+        .filter(|s| s.index() >= nodes)
+        .max_by_key(|s| s.index())
+    {
+        return Err(usage(format!(
+            "replay: {trace} records sender node {} but --nodes is {nodes}; \
+             replay it with --nodes {} or more",
+            sender.index() + 1,
+            sender.index() + 1
+        )));
+    }
+    let pipeline = Box::new(restored.replay_pipeline());
+    simulate(&o.cluster, o.timeline, pipeline, None)
 }
 
 /// Serializes a cluster's fault trace to `path` — the single implementation
@@ -405,52 +306,42 @@ fn record_fault_trace(trace: &tt_sim::Trace, path: &str) -> Result<String, CliEr
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn metrics(
-    n: usize,
-    rounds: u64,
-    penalty: u64,
-    reward: u64,
-    pipeline: DisturbanceNode,
-    format: MetricsFormat,
-    out: Option<String>,
-    record: Option<String>,
-) -> Result<String, CliError> {
+fn metrics(o: &MetricsOpts) -> Result<String, CliError> {
+    let pipeline = build_pipeline(&o.faults, o.cluster.nodes)?;
     let sink = std::sync::Arc::new(tt_sim::RecordingSink::new());
     // Both sides of the bus report into the same sink: the disturbance node
     // counts injected effects, the cluster records protocol-level events.
     let pipeline = Box::new(pipeline.with_metrics(sink.clone()));
-    let config = ProtocolConfig::builder(n)
-        .penalty_threshold(penalty)
-        .reward_threshold(reward)
-        .build()
-        .map_err(|e| usage(e.to_string()))?;
-    let mut builder = ClusterBuilder::new(n)
-        .round_length(round_for(n))
-        .metrics_sink(sink.clone());
-    if record.is_some() {
-        // Recording needs the bus-level fault trace alongside the metrics.
-        builder = builder.trace_mode(TraceMode::Anomalies);
-    }
-    let mut cluster =
-        builder.build_with_jobs(|id| Box::new(DiagJob::new(id, config.clone())), pipeline);
-    cluster.run_rounds(rounds);
+    let cluster = run_diag_cluster(
+        &o.cluster,
+        |b| {
+            let b = b.metrics_sink(sink.clone());
+            // Recording needs the bus-level fault trace alongside the
+            // metrics.
+            if o.record.is_some() {
+                b.trace_mode(TraceMode::Anomalies)
+            } else {
+                b
+            }
+        },
+        pipeline,
+    )?;
 
     let report = sink.report();
-    let mut body = match format {
+    let mut body = match o.format {
         MetricsFormat::Json => {
             serde_json::to_string_pretty(&report).map_err(|e| internal(e.to_string()))?
         }
         MetricsFormat::Csv => tt_analysis::events_to_csv(&report.events),
         MetricsFormat::Summary => tt_analysis::render_summary(&report),
     };
-    let recorded = match record {
-        Some(path) => record_fault_trace(cluster.trace(), &path)?,
+    let recorded = match &o.record {
+        Some(path) => record_fault_trace(cluster.trace(), path)?,
         None => String::new(),
     };
-    match out {
+    match &o.out {
         Some(path) => {
-            std::fs::write(&path, &body).map_err(|e| internal(format!("writing {path}: {e}")))?;
+            std::fs::write(path, &body).map_err(|e| internal(format!("writing {path}: {e}")))?;
             Ok(format!(
                 "wrote {} events ({} bytes) to {path}\n{recorded}",
                 report.events.len(),
@@ -464,31 +355,15 @@ fn metrics(
     }
 }
 
-fn trace(
-    n: usize,
-    rounds: u64,
-    penalty: u64,
-    reward: u64,
-    pipeline: Box<dyn tt_sim::FaultPipeline>,
-    format: TraceFormat,
-    out: Option<String>,
-) -> Result<String, CliError> {
+fn trace(o: &TraceOpts) -> Result<String, CliError> {
+    let pipeline = Box::new(build_pipeline(&o.faults, o.cluster.nodes)?);
     let sink = std::sync::Arc::new(RecordingTraceSink::new());
-    let config = ProtocolConfig::builder(n)
-        .penalty_threshold(penalty)
-        .reward_threshold(reward)
-        .build()
-        .map_err(|e| usage(e.to_string()))?;
-    let mut cluster = ClusterBuilder::new(n)
-        .round_length(round_for(n))
-        .trace_sink(sink.clone())
-        .build_with_jobs(|id| Box::new(DiagJob::new(id, config.clone())), pipeline);
-    cluster.run_rounds(rounds);
+    run_diag_cluster(&o.cluster, |b| b.trace_sink(sink.clone()), pipeline)?;
 
     let spans = sink.spans();
-    let body = match format {
+    let body = match o.format {
         TraceFormat::Jsonl => spans_to_jsonl(&spans),
-        TraceFormat::Perfetto => spans_to_perfetto(&spans, round_for(n)),
+        TraceFormat::Perfetto => spans_to_perfetto(&spans, round_for(o.cluster.nodes)),
         TraceFormat::Summary => {
             let chains = group_chains(&spans);
             let mut s = render_provenance_summary(&chains);
@@ -507,9 +382,9 @@ fn trace(
             s
         }
     };
-    match out {
+    match &o.out {
         Some(path) => {
-            std::fs::write(&path, &body).map_err(|e| internal(format!("writing {path}: {e}")))?;
+            std::fs::write(path, &body).map_err(|e| internal(format!("writing {path}: {e}")))?;
             Ok(format!(
                 "wrote {} spans ({} bytes) to {path}\n",
                 spans.len(),
@@ -598,21 +473,10 @@ fn isolation_report(domain: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The tune-sweep command's flag surface, bundled.
-struct TuneSweepOpts {
-    config: SweepConfig,
-    json: Option<String>,
-    csv_dir: Option<String>,
-    check: bool,
-    checkpoint: Option<String>,
-    resume: bool,
-    halt_after: Option<u64>,
-}
-
-fn tune_sweep(opts: TuneSweepOpts) -> Result<String, CliError> {
+fn tune_sweep(o: &TuneSweepOpts) -> Result<String, CliError> {
     let supervisor = SweepSupervisor {
-        checkpoint_path: opts.checkpoint.as_ref().map(PathBuf::from),
-        halt_after_cells: opts.halt_after,
+        checkpoint_path: o.checkpoint.path.as_ref().map(PathBuf::from),
+        halt_after_cells: o.halt_after,
     };
     let map_sweep_err = |e: std::io::Error| match e.kind() {
         std::io::ErrorKind::InvalidInput | std::io::ErrorKind::InvalidData => usage(e.to_string()),
@@ -620,25 +484,22 @@ fn tune_sweep(opts: TuneSweepOpts) -> Result<String, CliError> {
     };
     // A resumed sweep carries its grid in the checkpoint; command-line grid
     // flags apply only to fresh runs (mirroring `campaign` and `explore`).
-    let outcome = if opts.resume {
-        let path = opts
-            .checkpoint
-            .as_ref()
-            .expect("the parser rejects --resume without --checkpoint");
-        let cp: SweepCheckpoint = tt_fault::read_json(Path::new(path))
-            .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
-        resume_sweep(cp, &supervisor).map_err(map_sweep_err)?
-    } else {
-        run_sweep(&opts.config, &supervisor).map_err(map_sweep_err)?
+    let outcome = match o.checkpoint.resume_from() {
+        Some(path) => {
+            let cp: SweepCheckpoint = tt_fault::read_json(Path::new(path))
+                .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
+            resume_sweep(cp, &supervisor).map_err(map_sweep_err)?
+        }
+        None => run_sweep(&o.config, &supervisor).map_err(map_sweep_err)?,
     };
     let report = &outcome.report;
     let mut out = render_sweep_summary(report);
-    if let Some(path) = &opts.json {
+    if let Some(path) = &o.json {
         std::fs::write(path, sweep_json(report))
             .map_err(|e| internal(format!("writing {path}: {e}")))?;
         out.push_str(&format!("\nwrote sweep report to {path}\n"));
     }
-    if let Some(dir) = &opts.csv_dir {
+    if let Some(dir) = &o.csv_dir {
         let dir = Path::new(dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| internal(format!("creating {}: {e}", dir.display())))?;
@@ -662,25 +523,12 @@ fn tune_sweep(opts: TuneSweepOpts) -> Result<String, CliError> {
         // An incomplete grid has nothing final to check against.
         return Ok(out);
     }
-    if opts.check {
+    if o.check {
         if let Err(disagreement) = check_analytic_agreement(report) {
             return Err(CliError::Counterexample(format!("{out}\n{disagreement}")));
         }
     }
     Ok(out)
-}
-
-/// The campaign command's flag surface, bundled.
-struct CampaignOpts {
-    reps: u64,
-    json: Option<String>,
-    threads: usize,
-    checkpoint: Option<String>,
-    checkpoint_every: u64,
-    resume: bool,
-    halt_after: Option<usize>,
-    watchdog_ms: Option<u64>,
-    chaos: ChaosPlan,
 }
 
 /// The serialized form of a campaign report (`campaign --json`).
@@ -691,47 +539,44 @@ struct CampaignJson {
     supervision: tt_fault::SupervisionSummary,
 }
 
-fn campaign(opts: CampaignOpts) -> Result<String, CliError> {
+fn campaign(o: &CampaignOpts) -> Result<String, CliError> {
     let classes = sec8_classes(4);
     let base_seed = 2_007;
     // Injected hangs would spin forever without a deadline; an explicit
     // watchdog always wins, otherwise chaos hangs get a 1 s default.
-    let watchdog = opts
+    let watchdog = o
         .watchdog_ms
         .map(Duration::from_millis)
-        .or_else(|| (opts.chaos.hang_per_mille > 0).then(|| Duration::from_millis(1_000)));
+        .or_else(|| (o.chaos.hang_per_mille > 0).then(|| Duration::from_millis(1_000)));
     let supervised = SupervisedCampaign {
         classes: &classes,
         n: 4,
-        reps: opts.reps,
+        reps: o.reps,
         base_seed,
         config: SupervisorConfig {
-            threads: opts.threads,
+            threads: o.threads,
             watchdog,
-            checkpoint_every: opts.checkpoint_every as usize,
-            checkpoint_path: opts.checkpoint.as_ref().map(PathBuf::from),
-            halt_after: opts.halt_after,
+            checkpoint_every: o.checkpoint_every as usize,
+            checkpoint_path: o.checkpoint.path.as_ref().map(PathBuf::from),
+            halt_after: o.halt_after,
             ..SupervisorConfig::default()
         },
     };
-    let outcome = if opts.resume {
-        let path = opts
-            .checkpoint
-            .as_ref()
-            .expect("the parser rejects --resume without --checkpoint");
-        let cp = tt_fault::read_json(Path::new(path))
-            .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
-        supervised.run_resumed(&opts.chaos, &cp).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidInput {
-                usage(format!("checkpoint {path}: {e}"))
-            } else {
-                internal(e.to_string())
-            }
-        })?
-    } else {
-        supervised
-            .run(&opts.chaos)
-            .map_err(|e| internal(format!("writing checkpoint: {e}")))?
+    let outcome = match o.checkpoint.resume_from() {
+        Some(path) => {
+            let cp = tt_fault::read_json(Path::new(path))
+                .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
+            supervised.run_resumed(&o.chaos, &cp).map_err(|e| {
+                if e.kind() == std::io::ErrorKind::InvalidInput {
+                    usage(format!("checkpoint {path}: {e}"))
+                } else {
+                    internal(e.to_string())
+                }
+            })?
+        }
+        None => supervised
+            .run(&o.chaos)
+            .map_err(|e| internal(format!("writing checkpoint: {e}")))?,
     };
     let result = &outcome.result;
     let quarantined = outcome.supervision.quarantined.len();
@@ -739,8 +584,8 @@ fn campaign(opts: CampaignOpts) -> Result<String, CliError> {
         "Sec. 8 campaign: {} classes x {} = {} injections; {} completed, {} quarantined; \
          all passed: {}\n\n",
         classes.len(),
-        opts.reps,
-        classes.len() as u64 * opts.reps,
+        o.reps,
+        classes.len() as u64 * o.reps,
         result.total(),
         quarantined,
         result.all_passed()
@@ -755,7 +600,7 @@ fn campaign(opts: CampaignOpts) -> Result<String, CliError> {
     if outcome.halted {
         out.push_str("\nhalted early; resume with --resume --checkpoint PATH\n");
     }
-    if let Some(path) = &opts.json {
+    if let Some(path) = &o.json {
         let body = serde_json::to_string_pretty(&CampaignJson {
             result: result.clone(),
             supervision: outcome.supervision.clone(),
@@ -773,48 +618,11 @@ fn campaign(opts: CampaignOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The explore command's flag surface, bundled.
-struct ExploreOpts {
-    protocol: tt_fault::ProtocolUnderTest,
-    nodes: usize,
-    rounds: u64,
-    penalty: u64,
-    reward: u64,
-    seed: u64,
-    budget: u64,
-    max_faults: usize,
-    random: bool,
-    corpus: Option<String>,
-    corpus_out: Option<String>,
-    repro: Option<String>,
-    json: Option<String>,
-    checkpoint: Option<String>,
-    checkpoint_every: u64,
-    resume: bool,
-}
-
-fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
-    use tt_fault::explore::{
-        load_corpus, no_extra_oracle, save_schedule, ExploreConfig, Explorer, Strategy,
-    };
+fn explore(o: &ExploreOpts) -> Result<String, CliError> {
+    use tt_fault::explore::{load_corpus, no_extra_oracle, save_schedule, Explorer};
     use tt_fault::{write_json_atomic, ExploreCheckpoint};
-    let cli_cfg = ExploreConfig {
-        protocol: opts.protocol,
-        n: opts.nodes,
-        rounds: opts.rounds,
-        penalty_threshold: opts.penalty,
-        reward_threshold: opts.reward,
-        max_faults: opts.max_faults,
-        budget: opts.budget,
-        seed: opts.seed,
-        strategy: if opts.random {
-            Strategy::Random
-        } else {
-            Strategy::CoverageGuided
-        },
-    };
-    let seeds: Vec<_> = match &opts.corpus {
-        Some(dir) => load_corpus(std::path::Path::new(dir))
+    let seeds: Vec<_> = match &o.corpus {
+        Some(dir) => load_corpus(Path::new(dir))
             .map_err(|e| internal(format!("loading corpus {dir}: {e}")))?
             .into_iter()
             .map(|(_, s)| s)
@@ -824,25 +632,21 @@ fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
     let started = std::time::Instant::now();
     // A resumed session carries its own parameters, coverage set, and RNG
     // position; command-line exploration flags apply only to fresh runs.
-    let (mut session, cfg) = if opts.resume {
-        let path = opts
-            .checkpoint
-            .as_ref()
-            .expect("the parser rejects --resume without --checkpoint");
-        let cp: ExploreCheckpoint = tt_fault::read_json(Path::new(path))
-            .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
-        let cfg = cp.cfg.clone();
-        let session =
-            Explorer::from_checkpoint(&cp).map_err(|e| usage(format!("checkpoint {path}: {e}")))?;
-        (session, cfg)
-    } else {
-        (Explorer::new(&cli_cfg, &seeds), cli_cfg)
+    let (mut session, cfg) = match o.checkpoint.resume_from() {
+        Some(path) => {
+            let cp: ExploreCheckpoint = tt_fault::read_json(Path::new(path))
+                .map_err(|e| internal(format!("reading checkpoint {path}: {e}")))?;
+            let session = Explorer::from_checkpoint(&cp)
+                .map_err(|e| usage(format!("checkpoint {path}: {e}")))?;
+            (session, cp.cfg)
+        }
+        None => (Explorer::new(&o.config, &seeds), o.config.clone()),
     };
     loop {
         let stepped = session.step(&no_extra_oracle);
-        if let Some(path) = &opts.checkpoint {
+        if let Some(path) = &o.checkpoint.path {
             let boundary =
-                opts.checkpoint_every > 0 && session.executed() % opts.checkpoint_every.max(1) == 0;
+                o.checkpoint_every > 0 && session.executed() % o.checkpoint_every.max(1) == 0;
             // Snapshot on every interval boundary and once at the end, so
             // `--resume` always finds the final state on disk.
             if boundary || !stepped {
@@ -857,8 +661,8 @@ fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
     let report = session.into_report();
     let elapsed = started.elapsed().as_secs_f64();
     let mut out = render_explore_summary(&cfg, &report, elapsed);
-    if let Some(dir) = &opts.corpus_out {
-        let dir = std::path::Path::new(dir);
+    if let Some(dir) = &o.corpus_out {
+        let dir = Path::new(dir);
         for s in &report.corpus {
             save_schedule(dir, "sched", s).map_err(|e| internal(format!("writing corpus: {e}")))?;
         }
@@ -868,8 +672,8 @@ fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
             dir.display()
         ));
     }
-    if let Some(dir) = &opts.repro {
-        let dir = std::path::Path::new(dir);
+    if let Some(dir) = &o.repro {
+        let dir = Path::new(dir);
         for cx in &report.counterexamples {
             let path = save_schedule(dir, "repro", &cx.shrunk)
                 .map_err(|e| internal(format!("writing repro: {e}")))?;
@@ -879,7 +683,7 @@ fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
             ));
         }
     }
-    if let Some(path) = &opts.json {
+    if let Some(path) = &o.json {
         let body = serde_json::to_string_pretty(&report).map_err(|e| internal(e.to_string()))?;
         std::fs::write(path, body).map_err(|e| internal(format!("writing {path}: {e}")))?;
         out.push_str(&format!("\nwrote full report to {path}\n"));
@@ -893,19 +697,53 @@ fn explore_cmd(opts: ExploreOpts) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::{CheckpointOpts, SimulateOpts};
+
+    fn cluster(nodes: usize, rounds: u64, penalty: u64, reward: u64) -> ClusterOpts {
+        ClusterOpts {
+            nodes,
+            rounds,
+            penalty,
+            reward,
+        }
+    }
+
+    fn simulate_cmd(
+        cluster: ClusterOpts,
+        faults: Vec<FaultSpec>,
+        timeline: bool,
+        record: Option<String>,
+    ) -> Command {
+        Command::Simulate(SimulateOpts {
+            cluster,
+            faults: FaultOpts { seed: 0, faults },
+            timeline,
+            record,
+        })
+    }
+
+    /// The 20-round crash of node 3 the metrics format tests render.
+    fn metrics_crash_cmd(format: MetricsFormat) -> Command {
+        Command::Metrics(MetricsOpts {
+            cluster: cluster(4, 20, 3, 100),
+            faults: FaultOpts {
+                seed: 0,
+                faults: vec![FaultSpec::Crash { node: 3, round: 5 }],
+            },
+            format,
+            out: None,
+            record: None,
+        })
+    }
 
     #[test]
     fn simulate_crash_reports_isolation() {
-        let out = run(Command::Simulate {
-            nodes: 4,
-            rounds: 40,
-            penalty: 3,
-            reward: 100,
-            seed: 0,
-            timeline: true,
-            faults: vec![FaultSpec::Crash { node: 3, round: 12 }],
-            record: None,
-        })
+        let out = run(simulate_cmd(
+            cluster(4, 40, 3, 100),
+            vec![FaultSpec::Crash { node: 3, round: 12 }],
+            true,
+            None,
+        ))
         .unwrap();
         assert!(out.contains("ISOLATED"), "{out}");
         assert!(out.contains("isolated N3"), "{out}");
@@ -915,16 +753,12 @@ mod tests {
 
     #[test]
     fn simulate_validates_fault_targets() {
-        let e = run(Command::Simulate {
-            nodes: 4,
-            rounds: 10,
-            penalty: 3,
-            reward: 10,
-            seed: 0,
-            timeline: false,
-            faults: vec![FaultSpec::Crash { node: 9, round: 1 }],
-            record: None,
-        })
+        let e = run(simulate_cmd(
+            cluster(4, 10, 3, 10),
+            vec![FaultSpec::Crash { node: 9, round: 1 }],
+            false,
+            None,
+        ))
         .unwrap_err();
         assert!(e.to_string().contains("exceeds cluster size"));
         assert_eq!(e.exit_code(), 2, "bad flag values are usage errors");
@@ -939,14 +773,11 @@ mod tests {
 
     #[test]
     fn replay_missing_trace_is_an_internal_error() {
-        let e = run(Command::Replay {
+        let e = run(Command::Replay(ReplayOpts {
             trace: "/nonexistent/ttdiag-no-such-trace.json".into(),
-            nodes: 4,
-            rounds: 10,
-            penalty: 3,
-            reward: 100,
+            cluster: cluster(4, 10, 3, 100),
             timeline: false,
-        })
+        }))
         .unwrap_err();
         assert_eq!(e.exit_code(), 101, "I/O failures are internal errors: {e}");
     }
@@ -982,9 +813,9 @@ mod tests {
     }
 
     /// A one-cell sweep small enough for a unit test.
-    fn tiny_sweep_cmd() -> Command {
-        Command::TuneSweep {
-            config: SweepConfig {
+    fn tiny_sweep() -> TuneSweepOpts {
+        TuneSweepOpts {
+            config: tt_analysis::SweepConfig {
                 nodes: vec![4],
                 rounds: vec![32],
                 penalty_thresholds: vec![1],
@@ -996,12 +827,7 @@ mod tests {
                 batch_size: 16,
                 base_seed: 11,
             },
-            json: None,
-            csv_dir: None,
-            check: false,
-            checkpoint: None,
-            resume: false,
-            halt_after: None,
+            ..TuneSweepOpts::default()
         }
     }
 
@@ -1011,18 +837,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("sweep.json");
-        let Command::TuneSweep { config, .. } = tiny_sweep_cmd() else {
-            unreachable!()
-        };
-        let out = run(Command::TuneSweep {
-            config,
+        let out = run(Command::TuneSweep(TuneSweepOpts {
             json: Some(json.to_string_lossy().into_owned()),
             csv_dir: Some(dir.to_string_lossy().into_owned()),
-            check: false,
-            checkpoint: None,
-            resume: false,
-            halt_after: None,
-        })
+            ..tiny_sweep()
+        }))
         .unwrap();
         assert!(out.contains("tune sweep: 1 cells"), "{out}");
         let report: tt_analysis::SweepReport =
@@ -1036,20 +855,9 @@ mod tests {
 
     #[test]
     fn tune_sweep_rejects_invalid_grids_as_usage_errors() {
-        let Command::TuneSweep { mut config, .. } = tiny_sweep_cmd() else {
-            unreachable!()
-        };
-        config.nodes = vec![3];
-        let e = run(Command::TuneSweep {
-            config,
-            json: None,
-            csv_dir: None,
-            check: false,
-            checkpoint: None,
-            resume: false,
-            halt_after: None,
-        })
-        .unwrap_err();
+        let mut sweep = tiny_sweep();
+        sweep.config.nodes = vec![3];
+        let e = run(Command::TuneSweep(sweep)).unwrap_err();
         assert_eq!(e.exit_code(), 2, "{e}");
     }
 
@@ -1061,41 +869,33 @@ mod tests {
         let cp = dir.join("cp.json");
         let full_json = dir.join("full.json");
         let resumed_json = dir.join("resumed.json");
-        let Command::TuneSweep { mut config, .. } = tiny_sweep_cmd() else {
-            unreachable!()
-        };
-        config.intermittent_periods = vec![0, 3]; // two cells to halt between
-        let uninterrupted = run(Command::TuneSweep {
-            config: config.clone(),
+        let mut sweep = tiny_sweep();
+        sweep.config.intermittent_periods = vec![0, 3]; // two cells to halt between
+        let cp = Some(cp.to_string_lossy().into_owned());
+        let uninterrupted = run(Command::TuneSweep(TuneSweepOpts {
             json: Some(full_json.to_string_lossy().into_owned()),
-            csv_dir: None,
-            check: false,
-            checkpoint: None,
-            resume: false,
-            halt_after: None,
-        })
+            ..sweep.clone()
+        }))
         .unwrap();
         assert!(!uninterrupted.contains("halted"), "{uninterrupted}");
-        let halted = run(Command::TuneSweep {
-            config: config.clone(),
-            json: None,
-            csv_dir: None,
-            check: false,
-            checkpoint: Some(cp.to_string_lossy().into_owned()),
-            resume: false,
+        let halted = run(Command::TuneSweep(TuneSweepOpts {
+            checkpoint: CheckpointOpts {
+                path: cp.clone(),
+                resume: false,
+            },
             halt_after: Some(1),
-        })
+            ..sweep.clone()
+        }))
         .unwrap();
         assert!(halted.contains("halted after 1/2 cells"), "{halted}");
-        run(Command::TuneSweep {
-            config,
+        run(Command::TuneSweep(TuneSweepOpts {
             json: Some(resumed_json.to_string_lossy().into_owned()),
-            csv_dir: None,
-            check: false,
-            checkpoint: Some(cp.to_string_lossy().into_owned()),
-            resume: true,
-            halt_after: None,
-        })
+            checkpoint: CheckpointOpts {
+                path: cp,
+                resume: true,
+            },
+            ..sweep
+        }))
         .unwrap();
         assert_eq!(
             std::fs::read(&full_json).unwrap(),
@@ -1107,20 +907,10 @@ mod tests {
 
     /// A `Command::Campaign` with every supervision flag at its default.
     fn campaign_cmd(reps: u64) -> Command {
-        Command::Campaign {
+        Command::Campaign(CampaignOpts {
             reps,
-            json: None,
-            threads: 1,
-            checkpoint: None,
-            checkpoint_every: 25,
-            resume: false,
-            halt_after: None,
-            watchdog_ms: None,
-            chaos_seed: 0,
-            chaos_panic: 0,
-            chaos_hang: 0,
-            chaos_transient: 0,
-        }
+            ..CampaignOpts::default()
+        })
     }
 
     #[test]
@@ -1132,20 +922,14 @@ mod tests {
 
     #[test]
     fn campaign_with_injected_panics_completes_and_reports_quarantines() {
-        let cmd = Command::Campaign {
+        let cmd = Command::Campaign(CampaignOpts {
             reps: 1,
-            json: None,
-            threads: 1,
-            checkpoint: None,
-            checkpoint_every: 25,
-            resume: false,
-            halt_after: None,
-            watchdog_ms: None,
-            chaos_seed: 5,
-            chaos_panic: 400,
-            chaos_hang: 0,
-            chaos_transient: 0,
-        };
+            chaos: tt_fault::ChaosPlan {
+                panic_per_mille: 400,
+                ..tt_fault::ChaosPlan::quiet(5)
+            },
+            ..CampaignOpts::default()
+        });
         // Injected panics quarantine some experiments but never poison the
         // pool: every healthy experiment completes and passes, so the
         // campaign still succeeds (exit 0) with a non-empty quarantine
@@ -1161,36 +945,26 @@ mod tests {
         let path = std::env::temp_dir().join("ttdiag_cli_test_campaign_ckpt.json");
         let path_s = path.to_string_lossy().to_string();
         let _ = std::fs::remove_file(&path);
-        let halted = Command::Campaign {
+        let halted = Command::Campaign(CampaignOpts {
             reps: 1,
-            json: None,
-            threads: 1,
-            checkpoint: Some(path_s.clone()),
+            checkpoint: CheckpointOpts {
+                path: Some(path_s.clone()),
+                resume: false,
+            },
             checkpoint_every: 1,
-            resume: false,
             halt_after: Some(2),
-            watchdog_ms: None,
-            chaos_seed: 0,
-            chaos_panic: 0,
-            chaos_hang: 0,
-            chaos_transient: 0,
-        };
+            ..CampaignOpts::default()
+        });
         let out = run(halted).unwrap();
         assert!(out.contains("halted early"), "{out}");
-        let resumed = Command::Campaign {
+        let resumed = Command::Campaign(CampaignOpts {
             reps: 1,
-            json: None,
-            threads: 1,
-            checkpoint: Some(path_s.clone()),
-            checkpoint_every: 25,
-            resume: true,
-            halt_after: None,
-            watchdog_ms: None,
-            chaos_seed: 0,
-            chaos_panic: 0,
-            chaos_hang: 0,
-            chaos_transient: 0,
-        };
+            checkpoint: CheckpointOpts {
+                path: Some(path_s.clone()),
+                resume: true,
+            },
+            ..CampaignOpts::default()
+        });
         let resumed_out = run(resumed).unwrap();
         assert!(resumed_out.contains("all passed: true"), "{resumed_out}");
         let direct = run(campaign_cmd(1)).unwrap();
@@ -1212,30 +986,26 @@ mod tests {
     fn record_and_replay_roundtrip() {
         let dir = std::env::temp_dir().join("ttdiag_cli_test_trace.json");
         let path = dir.to_string_lossy().to_string();
-        let rec = run(Command::Simulate {
-            nodes: 4,
-            rounds: 30,
-            penalty: 1_000,
-            reward: 1_000,
-            seed: 5,
+        let rec = run(Command::Simulate(SimulateOpts {
+            cluster: cluster(4, 30, 1_000, 1_000),
+            faults: FaultOpts {
+                seed: 5,
+                faults: vec![FaultSpec::Burst {
+                    len: 8,
+                    round: 10,
+                    slot: 0,
+                }],
+            },
             timeline: false,
-            faults: vec![FaultSpec::Burst {
-                len: 8,
-                round: 10,
-                slot: 0,
-            }],
             record: Some(path.clone()),
-        })
+        }))
         .unwrap();
         assert!(rec.contains("recorded fault trace"), "{rec}");
-        let rep = run(Command::Replay {
+        let rep = run(Command::Replay(ReplayOpts {
             trace: path.clone(),
-            nodes: 4,
-            rounds: 30,
-            penalty: 1,
-            reward: 1_000,
+            cluster: cluster(4, 30, 1, 1_000),
             timeline: false,
-        })
+        }))
         .unwrap();
         // Re-tuned replay: P = 1 isolates the burst victims this time.
         assert!(rep.contains("ISOLATED"), "{rep}");
@@ -1245,18 +1015,7 @@ mod tests {
 
     #[test]
     fn metrics_json_round_trips() {
-        let out = run(Command::Metrics {
-            nodes: 4,
-            rounds: 20,
-            penalty: 3,
-            reward: 100,
-            seed: 0,
-            faults: vec![FaultSpec::Crash { node: 3, round: 5 }],
-            format: MetricsFormat::Json,
-            out: None,
-            record: None,
-        })
-        .unwrap();
+        let out = run(metrics_crash_cmd(MetricsFormat::Json)).unwrap();
         let report: tt_sim::MetricsReport = serde_json::from_str(&out).unwrap();
         assert!(!report.events.is_empty());
         let isolations = report
@@ -1275,32 +1034,10 @@ mod tests {
 
     #[test]
     fn metrics_csv_and_summary_render() {
-        let csv = run(Command::Metrics {
-            nodes: 4,
-            rounds: 20,
-            penalty: 3,
-            reward: 100,
-            seed: 0,
-            faults: vec![FaultSpec::Crash { node: 3, round: 5 }],
-            format: MetricsFormat::Csv,
-            out: None,
-            record: None,
-        })
-        .unwrap();
+        let csv = run(metrics_crash_cmd(MetricsFormat::Csv)).unwrap();
         assert!(csv.starts_with(tt_analysis::EVENTS_CSV_HEADER), "{csv}");
         assert!(csv.contains("isolation,"), "{csv}");
-        let summary = run(Command::Metrics {
-            nodes: 4,
-            rounds: 20,
-            penalty: 3,
-            reward: 100,
-            seed: 0,
-            faults: vec![FaultSpec::Crash { node: 3, round: 5 }],
-            format: MetricsFormat::Summary,
-            out: None,
-            record: None,
-        })
-        .unwrap();
+        let summary = run(metrics_crash_cmd(MetricsFormat::Summary)).unwrap();
         assert!(summary.contains("sim.rounds"), "{summary}");
         assert!(summary.contains("isolation"), "{summary}");
     }
@@ -1309,17 +1046,12 @@ mod tests {
     fn metrics_out_writes_file() {
         let path = std::env::temp_dir().join("ttdiag_cli_test_metrics.json");
         let path = path.to_string_lossy().to_string();
-        let msg = run(Command::Metrics {
-            nodes: 4,
-            rounds: 10,
-            penalty: 197,
-            reward: 1_000_000,
-            seed: 0,
-            faults: vec![],
+        let msg = run(Command::Metrics(MetricsOpts {
+            cluster: cluster(4, 10, 197, 1_000_000),
             format: MetricsFormat::Json,
             out: Some(path.clone()),
-            record: None,
-        })
+            ..MetricsOpts::default()
+        }))
         .unwrap();
         assert!(msg.contains("wrote"), "{msg}");
         let body = std::fs::read_to_string(&path).unwrap();
@@ -1332,27 +1064,26 @@ mod tests {
     /// observability docs: node 2 blinks every other round from round 4,
     /// node 3 suffers a single benign fault in round 5.
     fn canonical_trace_cmd(format: TraceFormat, out: Option<String>) -> Command {
-        Command::Trace {
-            nodes: 4,
-            rounds: 16,
-            penalty: 3,
-            reward: 2,
-            seed: 0,
-            faults: vec![
-                FaultSpec::Intermittent {
-                    node: 2,
-                    round: 4,
-                    period: 2,
-                },
-                FaultSpec::Burst {
-                    len: 1,
-                    round: 5,
-                    slot: 2,
-                },
-            ],
+        Command::Trace(TraceOpts {
+            cluster: cluster(4, 16, 3, 2),
+            faults: FaultOpts {
+                seed: 0,
+                faults: vec![
+                    FaultSpec::Intermittent {
+                        node: 2,
+                        round: 4,
+                        period: 2,
+                    },
+                    FaultSpec::Burst {
+                        len: 1,
+                        round: 5,
+                        slot: 2,
+                    },
+                ],
+            },
             format,
             out,
-        }
+        })
     }
 
     #[test]
@@ -1396,31 +1127,27 @@ mod tests {
     fn metrics_record_roundtrips_through_replay() {
         let path = std::env::temp_dir().join("ttdiag_cli_test_metrics_trace.json");
         let path = path.to_string_lossy().to_string();
-        let out = run(Command::Metrics {
-            nodes: 4,
-            rounds: 30,
-            penalty: 1_000,
-            reward: 1_000,
-            seed: 5,
-            faults: vec![FaultSpec::Burst {
-                len: 8,
-                round: 10,
-                slot: 0,
-            }],
+        let out = run(Command::Metrics(MetricsOpts {
+            cluster: cluster(4, 30, 1_000, 1_000),
+            faults: FaultOpts {
+                seed: 5,
+                faults: vec![FaultSpec::Burst {
+                    len: 8,
+                    round: 10,
+                    slot: 0,
+                }],
+            },
             format: MetricsFormat::Summary,
             out: None,
             record: Some(path.clone()),
-        })
+        }))
         .unwrap();
         assert!(out.contains("recorded fault trace"), "{out}");
-        let rep = run(Command::Replay {
+        let rep = run(Command::Replay(ReplayOpts {
             trace: path.clone(),
-            nodes: 4,
-            rounds: 30,
-            penalty: 1,
-            reward: 1_000,
+            cluster: cluster(4, 30, 1, 1_000),
             timeline: false,
-        })
+        }))
         .unwrap();
         assert!(rep.contains("Faulty slots on the bus: 8"), "{rep}");
         let _ = std::fs::remove_file(path);
@@ -1428,18 +1155,14 @@ mod tests {
 
     #[test]
     fn scenario_fault_spec_builds() {
-        let out = run(Command::Simulate {
-            nodes: 4,
-            rounds: 8,
-            penalty: 1_000,
-            reward: 1_000,
-            seed: 0,
-            timeline: false,
-            faults: vec![FaultSpec::Scenario {
+        let out = run(simulate_cmd(
+            cluster(4, 8, 1_000, 1_000),
+            vec![FaultSpec::Scenario {
                 name: "blinking".into(),
             }],
-            record: None,
-        })
+            false,
+            None,
+        ))
         .unwrap();
         // The first 10 ms burst corrupts 16 slots.
         assert!(out.contains("Faulty slots on the bus: 16"), "{out}");
@@ -1449,24 +1172,22 @@ mod tests {
     fn explore_small_budget_finds_no_violations() {
         let corpus_out = std::env::temp_dir().join("ttdiag_cli_test_explore_corpus");
         let json = std::env::temp_dir().join("ttdiag_cli_test_explore.json");
-        let out = run(Command::Explore {
-            protocol: tt_fault::ProtocolUnderTest::Diag,
-            nodes: 4,
-            rounds: 24,
-            penalty: 3,
-            reward: 2,
-            seed: 0xD1A6_05E5,
-            budget: 15,
-            max_faults: 6,
-            random: false,
-            corpus: None,
+        let out = run(Command::Explore(ExploreOpts {
+            config: tt_fault::ExploreConfig {
+                protocol: tt_fault::ProtocolUnderTest::Diag,
+                n: 4,
+                rounds: 24,
+                penalty_threshold: 3,
+                reward_threshold: 2,
+                seed: 0xD1A6_05E5,
+                budget: 15,
+                max_faults: 6,
+                strategy: tt_fault::Strategy::CoverageGuided,
+            },
             corpus_out: Some(corpus_out.to_string_lossy().to_string()),
-            repro: None,
             json: Some(json.to_string_lossy().to_string()),
-            checkpoint: None,
-            checkpoint_every: 25,
-            resume: false,
-        })
+            ..ExploreOpts::default()
+        }))
         .unwrap();
         assert!(out.contains("unique state fingerprints"), "{out}");
         assert!(out.contains("violations found"), "{out}");

@@ -15,12 +15,12 @@ use serde::Serialize;
 use tt_bench::HostFingerprint;
 use tt_core::{ProtocolConfig, ReintegrationPolicy};
 use tt_net::{
-    run_cluster, run_node, CrashSpec, JitterStats, LinkRates, NetChaos, NetError, NodeParams,
-    NodeSegment, RunConfig, RunReport, SlotClock, UdpTransport,
+    run_cluster, run_node, JitterStats, NetChaos, NetError, NodeParams, NodeSegment, RunConfig,
+    RunReport, SlotClock, UdpTransport,
 };
 use tt_sim::{CancellationToken, NodeId};
 
-use crate::args::Command;
+use crate::args::{NetNodeOpts, NetOpts, NetRunOpts};
 use crate::commands::{internal, usage, CliError};
 
 /// The `net run` JSON document: the full report plus the host it ran on.
@@ -37,118 +37,51 @@ struct NetNodeDoc {
     segment: NodeSegment,
 }
 
-/// Dispatches the two `net` subcommands.
-pub fn run(cmd: Command) -> Result<String, CliError> {
-    match cmd {
-        Command::NetRun {
-            nodes,
-            rounds,
-            slot_us,
-            grace_us,
-            penalty,
-            reward,
-            reintegrate_after,
-            seed,
-            drop,
-            duplicate,
-            reorder,
-            corrupt,
-            crash,
-            json,
-            check,
-        } => {
-            let protocol = protocol(nodes, penalty, reward, reintegrate_after)?;
-            let mut cfg = RunConfig::new(protocol, rounds, Duration::from_micros(slot_us));
-            if let Some(g) = grace_us {
-                cfg.grace = Duration::from_micros(g);
-            }
-            let rates = LinkRates {
-                drop_per_mille: drop,
-                duplicate_per_mille: duplicate,
-                reorder_per_mille: reorder,
-                corrupt_per_mille: corrupt,
-            };
-            if rates.total() > 0 {
-                cfg.chaos = Some(NetChaos::uniform(seed, rates));
-            }
-            cfg.crash = crash.map(|(node, at_round, down_rounds)| CrashSpec {
-                node,
-                at_round,
-                down_rounds,
-            });
-            net_run(cfg, json, check)
-        }
-        Command::NetNode {
-            id,
-            bind,
-            peers,
-            rounds,
-            slot_us,
-            grace_us,
-            penalty,
-            reward,
-            reintegrate_after,
-            start_delay_ms,
-            json,
-        } => {
-            let slot = Duration::from_micros(slot_us);
-            let grace = grace_us.map(Duration::from_micros).unwrap_or(slot / 2);
-            let protocol = protocol(peers.len(), penalty, reward, reintegrate_after)?;
-            net_node(NetNodeOpts {
-                id,
-                bind,
-                peers,
-                protocol,
-                rounds,
-                slot,
-                grace,
-                start_delay: Duration::from_millis(start_delay_ms),
-                json,
-            })
-        }
-        other => Err(internal(format!("not a net command: {other:?}"))),
-    }
-}
-
-fn protocol(
-    n: usize,
-    penalty: u64,
-    reward: u64,
-    reintegrate_after: u64,
-) -> Result<ProtocolConfig, CliError> {
-    let reintegration = if reintegrate_after == 0 {
+fn protocol(n: usize, o: &NetOpts) -> Result<ProtocolConfig, CliError> {
+    let reintegration = if o.reintegrate_after == 0 {
         ReintegrationPolicy::Never
     } else {
-        ReintegrationPolicy::AfterRewards(reintegrate_after)
+        ReintegrationPolicy::AfterRewards(o.reintegrate_after)
     };
     ProtocolConfig::builder(n)
-        .penalty_threshold(penalty)
-        .reward_threshold(reward)
+        .penalty_threshold(o.penalty)
+        .reward_threshold(o.reward)
         .reintegration(reintegration)
         .build()
         .map_err(|e| usage(e.to_string()))
 }
 
-fn net_run(cfg: RunConfig, json: Option<String>, check: bool) -> Result<String, CliError> {
+/// `ttdiag net run`: the whole cluster as loopback threads.
+pub fn net_run(o: &NetRunOpts) -> Result<String, CliError> {
+    let net = &o.net;
+    let protocol = protocol(o.nodes, net)?;
+    let mut cfg = RunConfig::new(protocol, net.rounds, Duration::from_micros(net.slot_us));
+    if let Some(g) = net.grace_us {
+        cfg.grace = Duration::from_micros(g);
+    }
+    if o.rates.total() > 0 {
+        cfg.chaos = Some(NetChaos::uniform(o.seed, o.rates));
+    }
+    cfg.crash = o.crash;
     let report = run_cluster(cfg).map_err(|e| match e {
         NetError::Config(m) => usage(m),
         NetError::Io(m) => internal(m),
     })?;
     let host = HostFingerprint::detect();
 
-    if let Some(path) = json {
+    if let Some(path) = &net.json {
         let doc = NetRunDoc {
             host: host.clone(),
             report: report.clone(),
         };
         let body = serde_json::to_string(&doc)
             .map_err(|e| internal(format!("serializing report: {e}")))?;
-        std::fs::write(&path, body).map_err(|e| internal(format!("writing {path}: {e}")))?;
+        std::fs::write(path, body).map_err(|e| internal(format!("writing {path}: {e}")))?;
     }
 
     let text = render_run_report(&report, &host);
     let ok = report.convergence.converged && report.replay.agree;
-    if check && !ok {
+    if o.check && !ok {
         return Err(CliError::Counterexample(text));
     }
     Ok(text)
@@ -285,34 +218,30 @@ fn jitter(j: &JitterStats) -> String {
     }
 }
 
-struct NetNodeOpts {
-    id: u32,
-    bind: Option<String>,
-    peers: Vec<String>,
-    protocol: ProtocolConfig,
-    rounds: u64,
-    slot: Duration,
-    grace: Duration,
-    start_delay: Duration,
-    json: Option<String>,
-}
-
-fn net_node(opts: NetNodeOpts) -> Result<String, CliError> {
-    let n = opts.peers.len();
+/// `ttdiag net node`: one peer of a multi-process cluster.
+pub fn net_node(o: &NetNodeOpts) -> Result<String, CliError> {
+    let slot = Duration::from_micros(o.net.slot_us);
+    let grace = o
+        .net
+        .grace_us
+        .map(Duration::from_micros)
+        .unwrap_or(slot / 2);
+    let protocol = protocol(o.peers.len(), &o.net)?;
+    let n = o.peers.len();
     if !(2..=64).contains(&n) {
         return Err(usage(format!("net node needs 2..=64 peers, got {n}")));
     }
-    if opts.id == 0 || opts.id as usize > n {
+    if o.id == 0 || o.id as usize > n {
         return Err(usage(format!(
             "--id {} outside the peer list (1..={n})",
-            opts.id
+            o.id
         )));
     }
-    if opts.slot < Duration::from_micros(200) {
+    if slot < Duration::from_micros(200) {
         return Err(usage("slot must be at least 200us"));
     }
     let mut addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-    for p in &opts.peers {
+    for p in &o.peers {
         let a: SocketAddr = p
             .parse()
             .map_err(|e| usage(format!("bad peer address {p:?}: {e}")))?;
@@ -321,8 +250,8 @@ fn net_node(opts: NetNodeOpts) -> Result<String, CliError> {
         }
         addrs.push(a);
     }
-    let slot_idx = opts.id as usize - 1;
-    let bind_addr: SocketAddr = match &opts.bind {
+    let slot_idx = o.id as usize - 1;
+    let bind_addr: SocketAddr = match &o.bind {
         Some(b) => b
             .parse()
             .map_err(|e| usage(format!("bad bind address {b:?}: {e}")))?,
@@ -331,19 +260,20 @@ fn net_node(opts: NetNodeOpts) -> Result<String, CliError> {
     let mut transport = UdpTransport::bind(bind_addr, addrs, slot_idx as u8)
         .map_err(|e| usage(format!("binding {bind_addr}: {e}")))?;
 
-    let clock = SlotClock::new(Instant::now() + opts.start_delay, opts.slot, n as u32);
+    let start_delay = Duration::from_millis(o.start_delay_ms);
+    let clock = SlotClock::new(Instant::now() + start_delay, slot, n as u32);
     let params = NodeParams {
-        node: NodeId::new(opts.id),
-        protocol: opts.protocol,
-        grace: opts.grace,
+        node: NodeId::new(o.id),
+        protocol,
+        grace,
         exec_offset_slots: 0,
-        end_round: opts.rounds,
+        end_round: o.net.rounds,
     };
     let cancel = CancellationToken::new();
     let segment = run_node(&params, clock, &mut transport, &cancel, 0);
 
     let host = HostFingerprint::detect();
-    if let Some(path) = &opts.json {
+    if let Some(path) = &o.net.json {
         let doc = NetNodeDoc {
             host: host.clone(),
             segment: segment.clone(),

@@ -29,15 +29,7 @@ use tt_bench::{DiagService, HostFingerprint, JobSpec, JobStatus};
 use tt_sim::{Framed, ProgressEvent, StreamHub};
 
 use crate::args::{FeedName, JobOp};
-use crate::commands::CliError;
-
-fn usage(msg: impl Into<String>) -> CliError {
-    CliError::Usage(msg.into())
-}
-
-fn internal(msg: impl Into<String>) -> CliError {
-    CliError::Internal(msg.into())
-}
+use crate::commands::{internal, usage, CliError};
 
 /// One request line of the admin-socket protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
