@@ -155,20 +155,11 @@ impl JobSpec {
                 nodes,
                 rounds,
                 budget,
+                seed,
                 chunk,
                 ..
             } => {
-                if !(4..=MAX_SYNDROME_NODES).contains(&nodes) {
-                    return Err(format!(
-                        "explore needs 4..={MAX_SYNDROME_NODES} nodes, got {nodes}"
-                    ));
-                }
-                if rounds < 12 {
-                    return Err("explore needs rounds >= 12".into());
-                }
-                if budget == 0 {
-                    return Err("explore needs budget >= 1".into());
-                }
+                explore_config(nodes, rounds, budget, seed).validate()?;
                 chunk
             }
             JobSpec::TuneSweep { chunk } => chunk,
@@ -177,6 +168,18 @@ impl JobSpec {
             return Err("chunk must be >= 1".into());
         }
         Ok(())
+    }
+}
+
+/// The explorer session an explore job runs (the default thresholds,
+/// fault count and strategy).
+fn explore_config(nodes: usize, rounds: u64, budget: u64, seed: u64) -> ExploreConfig {
+    ExploreConfig {
+        n: nodes,
+        rounds,
+        budget,
+        seed,
+        ..ExploreConfig::default()
     }
 }
 
@@ -694,13 +697,7 @@ impl DiagService {
         else {
             unreachable!("dispatched on the Explore variant");
         };
-        let cfg = ExploreConfig {
-            n: nodes,
-            rounds,
-            budget,
-            seed,
-            ..ExploreConfig::default()
-        };
+        let cfg = explore_config(nodes, rounds, budget, seed);
         let checkpoint_path = self.checkpoint_path(id);
         let mut session = if checkpoint_path.exists() {
             let cp: ExploreCheckpoint = read_json(&checkpoint_path)?;
@@ -857,6 +854,24 @@ mod tests {
             let err = spec.validate().unwrap_err();
             assert!(err.contains("4..=64 nodes"), "{spec:?}: {err}");
         }
+    }
+
+    #[test]
+    fn validate_takes_the_explorer_bounds() {
+        let explore = |rounds, budget| JobSpec::Explore {
+            nodes: 4,
+            rounds,
+            budget,
+            seed: 0,
+            chunk: 1,
+            halt_after: None,
+        };
+        // The explorer checks something from 11 rounds on.
+        assert_eq!(explore(11, 1).validate(), Ok(()));
+        let err = explore(10, 1).validate().unwrap_err();
+        assert!(err.contains("at least 11 rounds"), "{err}");
+        let err = explore(24, 0).validate().unwrap_err();
+        assert!(err.contains("budget must be positive"), "{err}");
     }
 
     #[test]

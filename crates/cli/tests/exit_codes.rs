@@ -123,6 +123,44 @@ fn out_of_range_simulation_cluster_is_a_usage_error() {
 }
 
 #[test]
+fn fault_specs_naming_node_zero_are_usage_errors() {
+    // Fault specs name nodes by their 1-based id: node 0 is refused by the
+    // parser, not a panic in the simulator's node-id constructor.
+    for cmd in ["simulate", "metrics", "trace"] {
+        for spec in ["crash:0@3", "intermittent:0@3/2", "asym:0@3:1"] {
+            let out = ttdiag()
+                .args([cmd, "--rounds", "8", "--fault", spec])
+                .output()
+                .expect("spawn ttdiag");
+            assert_eq!(out.status.code(), Some(2), "{cmd} {spec}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("node ids are 1-based"),
+                "{cmd} {spec}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn explorer_bounds_are_usage_errors() {
+    // Too few rounds to check anything, or schedules without a fault:
+    // refused by the parser, not a panic once the session starts.
+    for (flag, value, msg) in [
+        ("--rounds", "10", "at least 11 rounds"),
+        ("--max-faults", "0", "max faults must be positive"),
+    ] {
+        let out = ttdiag()
+            .args(["explore", flag, value, "--budget", "1"])
+            .output()
+            .expect("spawn ttdiag");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(msg), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
 fn tiny_tune_sweep_exits_zero() {
     let out = ttdiag()
         .args([

@@ -53,6 +53,7 @@ use tt_core::properties::{
     check_alg2_cluster, check_counter_consistency, check_diag_cluster, checkable_rounds,
     FaultCounts,
 };
+use tt_core::syndrome::MAX_SYNDROME_NODES;
 use tt_core::{DiagJob, ProtocolConfig};
 use tt_sim::{
     apply_effect_into, Cluster, ClusterBuilder, FaultPipeline, Fnv1a64, NodeId, RoundIndex,
@@ -569,7 +570,7 @@ pub enum Strategy {
 /// lands in an oracle-checkable round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExploreConfig {
-    /// Cluster size (≥ 4).
+    /// Cluster size (4..=64).
     pub n: usize,
     /// Rounds per schedule execution.
     pub rounds: u64,
@@ -641,6 +642,38 @@ impl ExploreConfig {
     /// The last round a fault may fire in.
     fn max_fault_round(&self) -> u64 {
         max_fault_round(self.rounds)
+    }
+
+    /// Checks the bounds a session needs: `n` in `4..=64` (every variant
+    /// packs one bit per node into a syndrome word), `rounds > 2 * LAG + 4`
+    /// (so some round is oracle-checkable), and at least one fault per
+    /// schedule and one schedule execution.
+    ///
+    /// # Errors
+    ///
+    /// A user-facing message naming the first bound `self` breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let max_nodes = MAX_SYNDROME_NODES;
+        if !(4..=max_nodes).contains(&self.n) {
+            return Err(format!(
+                "explore needs 4..={max_nodes} nodes, got {}",
+                self.n
+            ));
+        }
+        let min_rounds = 2 * LAG + 5;
+        if self.rounds < min_rounds {
+            return Err(format!(
+                "explore needs at least {min_rounds} rounds, got {}",
+                self.rounds
+            ));
+        }
+        if self.max_faults == 0 {
+            return Err("explore max faults must be positive".into());
+        }
+        if self.budget == 0 {
+            return Err("explore budget must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -733,14 +766,12 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// Panics on configurations too small to check anything (`n < 4` or
-    /// `rounds <= 2 * LAG + 4`), exactly like [`explore_with`].
+    /// Panics on a configuration [`ExploreConfig::validate`] refuses,
+    /// exactly like [`explore_with`].
     pub fn new(cfg: &ExploreConfig, seeds: &[FaultSchedule]) -> Self {
-        assert!(cfg.n >= 4, "explorer needs n >= 4");
-        assert!(
-            cfg.rounds > 2 * LAG + 4,
-            "rounds too short to check anything"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid explorer config: {e}");
+        }
         let mut pending = seeds.to_vec();
         pending.reverse();
         Explorer {
@@ -758,7 +789,8 @@ impl Explorer {
     /// # Errors
     ///
     /// Rejects snapshots with an unknown version or a malformed RNG state
-    /// (both indicate a checkpoint from an incompatible build).
+    /// (both indicate a checkpoint from an incompatible build), and
+    /// parameters [`ExploreConfig::validate`] refuses.
     pub fn from_checkpoint(cp: &crate::checkpoint::ExploreCheckpoint) -> Result<Self, String> {
         if cp.version != crate::checkpoint::CHECKPOINT_VERSION {
             return Err(format!(
@@ -770,6 +802,7 @@ impl Explorer {
         if !cp.rng.is_well_formed() {
             return Err("checkpoint RNG state is malformed".into());
         }
+        cp.cfg.validate()?;
         Ok(Explorer {
             cfg: cp.cfg.clone(),
             rng: cp.rng.restore(),
@@ -1436,6 +1469,67 @@ mod tests {
         let cfg = cfg();
         assert_eq!(seeded_schedule(&cfg, 7), seeded_schedule(&cfg, 7));
         assert_ne!(seeded_schedule(&cfg, 7), seeded_schedule(&cfg, 8));
+    }
+
+    #[test]
+    fn validate_owns_the_session_bounds() {
+        let ok = ExploreConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        // The shortest checkable session runs 2 * LAG + 5 = 11 rounds, and
+        // every variant explores it without tripping an assertion.
+        for protocol in [
+            ProtocolUnderTest::Diag,
+            ProtocolUnderTest::Membership,
+            ProtocolUnderTest::Lowlat,
+        ] {
+            let shortest = ExploreConfig {
+                rounds: 11,
+                budget: 5,
+                protocol,
+                ..ok.clone()
+            };
+            assert_eq!(shortest.validate(), Ok(()));
+            assert_eq!(explore(&shortest).executed, 5);
+        }
+        for (bad, msg) in [
+            (ExploreConfig { n: 3, ..ok.clone() }, "4..=64 nodes"),
+            (
+                ExploreConfig {
+                    n: 65,
+                    ..ok.clone()
+                },
+                "4..=64 nodes",
+            ),
+            (
+                ExploreConfig {
+                    rounds: 10,
+                    ..ok.clone()
+                },
+                "at least 11 rounds",
+            ),
+            (
+                ExploreConfig {
+                    max_faults: 0,
+                    ..ok.clone()
+                },
+                "max faults must be positive",
+            ),
+            (
+                ExploreConfig {
+                    budget: 0,
+                    ..ok.clone()
+                },
+                "budget must be positive",
+            ),
+        ] {
+            let e = bad.validate().unwrap_err();
+            assert!(e.contains(msg), "{bad:?}: {e}");
+            // A checkpoint carrying such parameters is refused rather than
+            // resumed into a panic.
+            let mut cp = Explorer::new(&ok, &[]).checkpoint();
+            cp.cfg = bad;
+            assert_eq!(Explorer::from_checkpoint(&cp).err(), Some(e));
+        }
     }
 
     #[test]
