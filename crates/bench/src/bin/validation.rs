@@ -1,7 +1,8 @@
 //! Runs the Sec. 8 fault-injection validation campaign.
 //!
 //! Usage: `validation [repetitions] [threads] [--json <path>]` (default 100
-//! repetitions — the paper's count per class — on 8 threads). With
+//! repetitions — the paper's count per class — on 8 supervised worker
+//! threads; a quarantined experiment fails the run). With
 //! `--json`, the full per-experiment outcomes are also written to `<path>`
 //! for archival/regression diffing.
 
@@ -26,8 +27,7 @@ fn main() {
         .map(|a| a.parse().expect("threads must be a number"))
         .unwrap_or(8);
     if let Some(path) = json_path {
-        let classes = tt_fault::sec8_classes(4);
-        let result = tt_bench::run_parallel_campaign(&classes, 4, reps, 2_007, threads);
+        let result = tt_bench::sec8_campaign(reps, threads);
         let json = serde_json::to_string_pretty(&result).expect("campaign serializes");
         std::fs::write(&path, json).expect("write campaign results");
         println!("wrote {} outcomes to {path}", result.total());

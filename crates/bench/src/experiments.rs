@@ -13,10 +13,12 @@ use tt_analysis::{
 use tt_core::lowlat::LowLatCluster;
 use tt_core::matrix::matrix_with_benign_faulty;
 use tt_core::{DiagJob, ProtocolConfig};
-use tt_fault::{sec8_classes, Burst, DisturbanceNode, TransientScenario};
+use tt_fault::{
+    sec8_classes, Burst, CampaignResult, DisturbanceNode, NoHarnessFaults, TransientScenario,
+};
 use tt_sim::{ClusterBuilder, Nanos, NodeId, RoundIndex, SlotEffect, TxCtx};
 
-use crate::parallel::run_parallel_campaign;
+use crate::supervised::{SupervisedCampaign, SupervisorConfig};
 
 /// The paper's TDMA round length (2.5 ms).
 pub fn paper_round() -> Nanos {
@@ -382,10 +384,40 @@ pub fn table4_report() -> String {
     out
 }
 
+/// Runs the Sec. 8 campaign (`reps` seeded repetitions of every class,
+/// base seed 2007) on `threads` supervised workers.
+///
+/// # Panics
+///
+/// If an experiment is quarantined: a panicking experiment is a harness
+/// failure, and the supervisor leaves it out of the result, where no
+/// `passed` flag would show it.
+pub fn sec8_campaign(reps: u64, threads: usize) -> CampaignResult {
+    let classes = sec8_classes(PAPER_N);
+    let outcome = SupervisedCampaign {
+        classes: &classes,
+        n: PAPER_N,
+        reps,
+        base_seed: 2_007,
+        config: SupervisorConfig {
+            threads,
+            ..SupervisorConfig::default()
+        },
+    }
+    .run(&NoHarnessFaults)
+    .expect("no checkpoint is configured, so no I/O can fail");
+    let quarantined = &outcome.supervision.quarantined;
+    assert!(
+        quarantined.is_empty(),
+        "quarantined experiments: {quarantined:?}"
+    );
+    outcome.result
+}
+
 /// **Sec. 8** — the fault-injection validation campaign.
 pub fn validation_report(reps: u64, threads: usize) -> String {
     let classes = sec8_classes(PAPER_N);
-    let result = run_parallel_campaign(&classes, PAPER_N, reps, 2_007, threads);
+    let result = sec8_campaign(reps, threads);
     let mut out = format!(
         "Sec. 8 — validation campaign: {} experiment classes x {} repetitions = {} injections\n\n",
         classes.len(),

@@ -11,8 +11,6 @@
 //! * [`observability`] — the host fingerprint that benchmark results
 //!   carry, and the canonical scenarios behind the
 //!   `tests/golden/metrics_events*.json` snapshots;
-//! * [`parallel`] — the lock-free persistent campaign worker pool (with
-//!   panic quarantine, so one crashing experiment cannot poison the pool);
 //! * [`supervised`] — fault-tolerant campaign execution: watchdog
 //!   deadlines, retry/backoff, Alg. 2-style worker health and isolation,
 //!   and atomic checkpoint/resume;
@@ -29,7 +27,6 @@
 pub mod comparison;
 pub mod experiments;
 pub mod observability;
-pub mod parallel;
 pub mod service;
 pub mod supervised;
 
@@ -38,6 +35,5 @@ pub use experiments::*;
 pub use observability::{
     canonical_metrics_report, lightning_metrics_report, normalize_report, HostFingerprint,
 };
-pub use parallel::{run_parallel_campaign, CampaignExecutor};
 pub use service::{DiagService, FeedHubs, JobSpec, JobState, JobStatus};
 pub use supervised::{LiveFeeds, SupervisedCampaign, SupervisedOutcome, SupervisorConfig};

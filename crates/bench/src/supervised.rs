@@ -1,10 +1,9 @@
 //! Fault-tolerant, supervised campaign execution.
 //!
-//! [`CampaignExecutor`](crate::CampaignExecutor) assumes experiments are
-//! well-behaved; this module assumes they are not. A
-//! [`SupervisedCampaign`] runs the same deterministic work list under a
-//! supervisor that applies the paper's own fault-tolerance vocabulary to
-//! the harness itself:
+//! A [`SupervisedCampaign`] runs a campaign's deterministic work list (the
+//! one the sequential [`tt_fault::run_campaign`] runs) on worker threads,
+//! and assumes experiments are not well-behaved: its supervisor applies
+//! the paper's own fault-tolerance vocabulary to the harness itself:
 //!
 //! * **panic quarantine** — every attempt runs under `catch_unwind`; a
 //!   panicking experiment becomes a [`QuarantineRecord`] (with the seed
@@ -682,6 +681,44 @@ mod tests {
             .map(|(_, o)| o.clone())
             .collect();
         assert_eq!(sup.result.outcomes, healthy);
+    }
+
+    #[test]
+    fn empty_work_lists_settle_nothing() {
+        for (classes, reps) in [(Vec::new(), 3), (classes(), 0)] {
+            let sup = SupervisedCampaign {
+                classes: &classes,
+                n: 4,
+                reps,
+                base_seed: 7,
+                config: SupervisorConfig::default(),
+            }
+            .run(&NoHarnessFaults)
+            .unwrap();
+            assert_eq!(sup.result.total(), 0);
+            assert!(sup.supervision.clean());
+            assert!(!sup.halted);
+        }
+    }
+
+    #[test]
+    fn more_threads_than_work_items() {
+        let classes = &classes()[..1];
+        let seq = run_campaign(classes, 4, 1, 5);
+        let sup = SupervisedCampaign {
+            classes,
+            n: 4,
+            reps: 1,
+            base_seed: 5,
+            config: SupervisorConfig {
+                threads: 16,
+                ..SupervisorConfig::default()
+            },
+        }
+        .run(&NoHarnessFaults)
+        .unwrap();
+        assert_eq!(sup.result.outcomes, seq.outcomes);
+        assert!(sup.supervision.clean());
     }
 
     fn sup_retries_per_item() -> u32 {

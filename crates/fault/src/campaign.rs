@@ -323,48 +323,24 @@ fn diag_cluster_cancellable(
 
 /// Runs one experiment and checks its expectations.
 pub fn run_experiment(class: ExperimentClass, n: usize, seed: u64) -> ExperimentOutcome {
-    run_experiment_cancellable(class, n, seed, &CancellationToken::new())
-        .expect("a fresh token never cancels")
-}
-
-/// The outcome recorded in place of an experiment whose execution
-/// panicked: failed, with the panic message and reproduction seed in the
-/// notes. Worker pools record this instead of letting the panic poison the
-/// pool; the experiment never produced a verdict, so `passed` is `false`
-/// and the oracle report is empty.
-pub fn quarantined_outcome(
-    class: ExperimentClass,
-    seed: u64,
-    panic_msg: &str,
-) -> ExperimentOutcome {
-    ExperimentOutcome {
-        label: class.label(),
+    run_experiment_observed(
+        class,
+        n,
         seed,
-        passed: false,
-        report: PropertyReport::default(),
-        notes: vec![format!("quarantined: panic: {panic_msg}")],
-        mean_detection_latency: None,
-    }
+        &CancellationToken::new(),
+        &ExperimentSinks::noop(),
+    )
+    .expect("a fresh token never cancels")
 }
 
-/// Like [`run_experiment`], but observing `token` at round granularity:
-/// once the token is cancelled the simulation stops at the next round
-/// boundary and `None` is returned (a partially executed experiment has no
-/// meaningful verdict). Supervisors use this to enforce watchdog deadlines
-/// on hung or oversized experiments without killing the hosting thread.
-pub fn run_experiment_cancellable(
-    class: ExperimentClass,
-    n: usize,
-    seed: u64,
-    token: &CancellationToken,
-) -> Option<ExperimentOutcome> {
-    run_experiment_observed(class, n, seed, token, &ExperimentSinks::noop())
-}
-
-/// Like [`run_experiment_cancellable`], but attaching `sinks` to the
-/// experiment cluster so metrics events and provenance spans stream out
-/// while the experiment runs (`ttdiag serve` live feeds). With
-/// [`ExperimentSinks::noop`] this is exactly [`run_experiment_cancellable`].
+/// Like [`run_experiment`], but observing `token` at round granularity and
+/// attaching `sinks` to the experiment cluster. Once the token is
+/// cancelled the simulation stops at the next round boundary and `None` is
+/// returned (a partially executed experiment has no meaningful verdict):
+/// supervisors use this to enforce watchdog deadlines on hung or oversized
+/// experiments without killing the hosting thread. The sinks stream
+/// metrics events and provenance spans out while the experiment runs
+/// (`ttdiag serve` live feeds); [`ExperimentSinks::noop`] attaches none.
 pub fn run_experiment_observed(
     class: ExperimentClass,
     n: usize,
@@ -623,7 +599,7 @@ impl CampaignResult {
 /// campaign's base seed.
 ///
 /// This is the *only* seed derivation used by campaign runners (the
-/// sequential [`run_campaign`] and any parallel executor), so their
+/// sequential [`run_campaign`] and the supervised executor), so their
 /// outcomes are bit-identical for the same `(classes, n, reps, base_seed)`.
 pub fn experiment_seed(base_seed: u64, class_idx: usize, rep: u64) -> u64 {
     base_seed

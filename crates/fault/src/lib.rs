@@ -59,9 +59,9 @@ pub use batch_eval::{execute_schedules_batched, lane_params, lane_plan};
 pub use bitflip::{BitNoise, CrcForger, ReceiverLocalBitNoise};
 pub use burst::{Burst, ContinuousFault, IntermittentFault, SenderBurst};
 pub use campaign::{
-    experiment_seed, extended_classes, quarantined_outcome, run_campaign, run_experiment,
-    run_experiment_cancellable, run_experiment_observed, run_extended, sec8_classes,
-    CampaignResult, ExperimentClass, ExperimentOutcome, ExperimentSinks, ExtendedClass,
+    experiment_seed, extended_classes, run_campaign, run_experiment, run_experiment_observed,
+    run_extended, sec8_classes, CampaignResult, ExperimentClass, ExperimentOutcome,
+    ExperimentSinks, ExtendedClass,
 };
 pub use checkpoint::{
     read_json, write_json_atomic, CampaignCheckpoint, ExploreCheckpoint, RngState,

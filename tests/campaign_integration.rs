@@ -1,8 +1,8 @@
 //! Integration test of the Sec. 8 validation campaign: every experiment
-//! class, multiple seeded repetitions, sequential and parallel runners.
+//! class, multiple seeded repetitions, sequential and supervised runners.
 
-use tt_bench::run_parallel_campaign;
-use tt_fault::{run_campaign, sec8_classes, ExperimentClass};
+use tt_bench::{SupervisedCampaign, SupervisorConfig};
+use tt_fault::{run_campaign, sec8_classes, ExperimentClass, NoHarnessFaults};
 use tt_sim::NodeId;
 
 #[test]
@@ -30,8 +30,25 @@ fn full_campaign_small_reps_all_green() {
 fn parallel_campaign_equals_sequential() {
     let classes = sec8_classes(4);
     let seq = run_campaign(&classes, 4, 2, 99);
-    let par = run_parallel_campaign(&classes, 4, 2, 99, 8);
-    assert_eq!(seq.outcomes, par.outcomes);
+    let par = SupervisedCampaign {
+        classes: &classes,
+        n: 4,
+        reps: 2,
+        base_seed: 99,
+        config: SupervisorConfig {
+            threads: 8,
+            ..SupervisorConfig::default()
+        },
+    }
+    .run(&NoHarnessFaults)
+    .expect("no checkpoint I/O configured");
+    // A quarantined experiment is left out of `result`: require none.
+    assert!(
+        par.supervision.quarantined.is_empty(),
+        "{:?}",
+        par.supervision.quarantined
+    );
+    assert_eq!(seq.outcomes, par.result.outcomes);
 }
 
 #[test]
